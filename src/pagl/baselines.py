@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .buckley_osthus import MAX_CHAIN
 from .graphs import Graph
 
 __all__ = [
@@ -69,6 +70,10 @@ class HKParams:
             )
         if not (0.0 <= self.p_t <= 1.0):
             raise ValueError(f"triad probability must lie in [0, 1], got {self.p_t!r}")
+        edges = self.m * (self.n - self.m - 1) + self.m * (self.m + 1) // 2
+        if 2 * edges > MAX_CHAIN:
+            raise ValueError(
+                f"2 x {edges} edge slots exceed the 32-bit slot limit {MAX_CHAIN}")
 
 
 def _truncated_mean(gamma: float, cap: int) -> float:
@@ -85,6 +90,11 @@ def power_law_cap(params: GDSParams) -> int:
     count n*E[d]/2 is as close to the target as integer cutoffs allow.
     Raises ValueError if no cutoff gets within 5%.
     """
+    # compared in logs: the cap itself can overflow a float
+    if math.log(params.n) / (params.gamma - 1.0) > math.log(MAX_CHAIN):
+        raise ValueError(
+            f"degree cap n**(1/(gamma-1)) for n={params.n}, "
+            f"gamma={params.gamma} exceeds {MAX_CHAIN}")
     cap = max(1, int(params.n ** (1.0 / (params.gamma - 1.0))))
     if params.target_edges is None:
         return cap

@@ -126,31 +126,28 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
 
     points = grid.points
     k = points.size
-    hi, lo, w = matrix.unordered_cells()
-    num_edges = int(w.sum())
-    b1 = np.searchsorted(points, hi, side="left")
-    b2 = np.searchsorted(points, lo, side="left")
-    flat = b1 * (k + 1) + b2
-    diag = hi == lo
-    dense_off = np.bincount(flat[~diag], weights=w[~diag], minlength=(k + 1) ** 2)
-    dense_diag = np.bincount(flat[diag], weights=w[diag], minlength=(k + 1) ** 2)
-    occ_off = np.nonzero(dense_off)[0]
-    occ_diag = np.nonzero(dense_diag)[0]
-    p = np.concatenate([dense_off[occ_off], dense_diag[occ_diag]])
+    size = (k + 1) * (k + 1)
+    flat = (np.searchsorted(points, matrix.d1) * (k + 1)
+            + np.searchsorted(points, matrix.d2))
+    # one category per (threshold bin, ordered weight), weight-1 cells
+    # first; an edge drawn from a category adds its weight to the bin
+    keys, category = np.unique(matrix.ordered_weight() * size + flat,
+                               return_inverse=True)
+    p = np.bincount(category, weights=matrix.x)
     p /= p.sum()
+    cat_bin, cat_weight = keys % size, keys // size
 
     # domain pairs satisfy d1 > d2, so the needed tail entries sit at
     # index pairs (i, j) with i > j and no symmetrization is required
     i_idx = np.searchsorted(points, domain.d1)
     j_idx = np.searchsorted(points, domain.d2)
     denom = surface.cum_deg[i_idx].astype(np.float64) * surface.cum_deg[j_idx]
+    num_edges = matrix.total_edges
     children = np.random.SeedSequence(seed).spawn(B)
 
     def one(it):
         cnt = np.random.default_rng(children[it]).multinomial(num_edges, p)
-        h = np.zeros((k + 1) * (k + 1), dtype=np.float64)
-        h[occ_off] = cnt[: occ_off.size]
-        h[occ_diag] += 2.0 * cnt[occ_off.size:]
+        h = np.bincount(cat_bin, weights=cnt * cat_weight, minlength=size)
         tail = _suffix2d(h.reshape(k + 1, k + 1))[1:, 1:]
         rho = tail[i_idx, j_idx] / denom
         refit = _fit_edge_values(rho, domain.d1, domain.d2,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .graphs import Graph
 
 __all__ = [
     "BOParams",
-    "AttachmentState",
-    "attachment_distribution",
     "generate_bo_chain",
     "merge_blocks",
     "generate_bo",
@@ -62,46 +60,6 @@ class BOParams:
             raise ValueError(
                 f"m*n = {self.m * self.n} exceeds the 32-bit id limit {MAX_CHAIN}"
             )
-
-
-@dataclass
-class AttachmentState:
-    """Chain state after t completed steps.
-
-    ``degrees[v]`` is the multigraph degree (a loop counts 2) and
-    ``excess_list`` holds vertex v exactly deg(v)-1 times, so after step t
-    the degree sum is 2t and the list has t entries.
-    """
-
-    t: int = 0
-    degrees: list = field(default_factory=list)
-    excess_list: list = field(default_factory=list)
-
-    def apply_step(self, target: int) -> None:
-        """Add vertex t with an edge to ``target`` (== t gives a loop)."""
-        s = self.t
-        if not 0 <= target <= s:
-            raise ValueError(f"target {target} out of range for step {s + 1}")
-        self.degrees.append(1)
-        self.degrees[target] += 1
-        self.excess_list.append(target)
-        self.t = s + 1
-
-
-def attachment_distribution(state: AttachmentState, a):
-    """Target distribution for the next chain step, as a length-(t+1) list.
-
-    Entry s < t is (deg(s)+a-1)/((a+1)(t+1)-1); the last entry is the new
-    vertex's own mass a over the same denominator.  Exact when ``a`` is a
-    Fraction: the entries then sum to 1 as rationals.
-    """
-    if a <= 0:
-        raise ValueError("attractiveness a must be positive")
-    t = state.t + 1
-    denom = (a + 1) * t - 1
-    probs = [(state.degrees[s] + a - 1) / denom for s in range(t - 1)]
-    probs.append(a / denom)
-    return probs
 
 
 def generate_bo_chain(a: float, n: int, seed) -> Graph:

@@ -33,9 +33,11 @@ from .fitting import DivergenceError, degree_range, fit_degree, fit_edges, \
     pair_domain, select_range
 from .graphs import Graph, load_binary, load_edge_list, save_binary, \
     save_edge_list, simplify
-from .stats import DegreeHistogram, EdgeDegreeMatrix, LogGrid, RhoSurface, \
-    cumulative_degree, d_nn_profile, degree_histogram, edge_degree_matrix, \
-    log_grid, rho_surface, write_degrees_tsv, write_dnn_tsv, write_edges_tsv
+from .stats import cumulative_degree, d_nn_profile, degree_histogram, \
+    edge_degree_matrix, log_grid, rho_surface
+from .tables import format_rows, load_degrees_tsv, load_xcells_tsv, \
+    surface_from_tables, write_degrees_tsv, write_dnn_tsv, write_edges_tsv, \
+    write_xcells_tsv
 from .theory import TheoryParams, edge_model_shape_check, \
     expected_degree_count, expected_edge_count, multiplicity_scaling_report
 
@@ -101,106 +103,6 @@ def _manifest(args, argv, seeds, params, inputs, outputs, t0) -> dict:
     }
 
 
-def _float(x) -> float:
-    return float(x)
-
-
-# ---------------------------------------------------------------------------
-# TSV parsing (inverse of the stats emitters)
-
-def _read_tsv(path: str, header: str):
-    with open(path, "r", encoding="utf-8") as stream:
-        first = stream.readline().rstrip("\n")
-        if first != header:
-            raise ValueError(
-                f"{path}: expected header {header!r}, found {first!r}")
-        rows = []
-        for lineno, line in enumerate(stream, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(header.split("\t")):
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
-            rows.append(parts)
-    return rows
-
-
-def load_degrees_tsv(path: str) -> DegreeHistogram:
-    """Rebuild the degree histogram from an analyze degrees table."""
-    counts = {}
-    isolated = 0
-    for d_s, c_s, _cum in _read_tsv(path, "d\tcount\tcumulative"):
-        d, c = int(d_s), int(c_s)
-        if d == 0:
-            isolated = c
-        else:
-            counts[d] = c
-    return DegreeHistogram(counts, sum(counts.values()) + isolated)
-
-
-def load_xcells_tsv(path: str) -> EdgeDegreeMatrix:
-    """Rebuild the symmetric edge-degree matrix from the cell table.
-
-    Rows hold unordered cells (d1 >= d2) with plain edge counts; the
-    stored matrix doubles the diagonal per the counting convention.
-    """
-    d1, d2, x = [], [], []
-    for a_s, b_s, c_s in _read_tsv(path, "d1\td2\tx"):
-        a, b, c = int(a_s), int(b_s), int(c_s)
-        if a < b or c < 1:
-            raise ValueError(f"{path}: bad cell ({a}, {b}, {c})")
-        if a == b:
-            d1.append(a); d2.append(b); x.append(2 * c)
-        else:
-            d1.append(a); d2.append(b); x.append(c)
-            d1.append(b); d2.append(a); x.append(c)
-    d1 = np.asarray(d1, dtype=np.int64)
-    d2 = np.asarray(d2, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    order = np.lexsort((d2, d1))
-    return EdgeDegreeMatrix(d1=d1[order], d2=d2[order], x=x[order])
-
-
-def surface_from_tables(hist: DegreeHistogram, edges_path: str,
-                        grid: LogGrid) -> RhoSurface:
-    """Rebuild the rho surface from an analyze edges table.
-
-    The table stores grid pairs d1 >= d2 where rho is defined; the grid
-    itself is recomputed from ``--alpha`` and the histogram's maximum
-    degree, so the table must come from the same alpha.
-    """
-    points = grid.points
-    k = points.size
-    cum_edges = np.zeros((k, k), dtype=np.int64)
-    x_exact = np.zeros((k, k), dtype=np.int64)
-    rho = np.full((k, k), np.nan)
-    for d1_s, d2_s, x_s, xc_s, rho_s in _read_tsv(
-            edges_path, "d1\td2\tX\tXcum\trho"):
-        d1, d2 = int(d1_s), int(d2_s)
-        i = int(np.searchsorted(points, d1))
-        j = int(np.searchsorted(points, d2))
-        if i >= k or j >= k or points[i] != d1 or points[j] != d2:
-            raise ValueError(
-                f"{edges_path}: degree pair ({d1}, {d2}) is not on the "
-                f"alpha grid; pass the --alpha used by analyze")
-        x_exact[i, j] = x_exact[j, i] = int(x_s)
-        cum_edges[i, j] = cum_edges[j, i] = int(xc_s)
-        rho[i, j] = rho[j, i] = float(rho_s)
-    tails = cumulative_degree(hist)
-    return RhoSurface(grid=grid, cum_deg=tails.at(points),
-                      cum_edges=cum_edges, rho=rho, x_exact=x_exact)
-
-
-def _xcells_payload(mat: EdgeDegreeMatrix) -> bytes:
-    hi, lo, w = mat.unordered_cells()
-    buf = io.StringIO()
-    buf.write("d1\td2\tx\n")
-    for a, b, c in zip(hi.tolist(), lo.tolist(), w.tolist()):
-        buf.write(f"{a}\t{b}\t{c}\n")
-    return buf.getvalue().encode()
-
-
 # ---------------------------------------------------------------------------
 # generate
 
@@ -221,11 +123,8 @@ def _build_generate(args):
         degrees = sample_power_law_degrees(params)
         g = generate_configuration(degrees, seed=params.seed + 1)
         payloads[args.out] = _graph_payload(g, fmt)
-        buf = io.StringIO()
-        buf.write("vertex\tdegree\n")
-        for v, d in enumerate(degrees.tolist()):
-            buf.write(f"{v}\t{d}\n")
-        payloads[args.out + ".degrees.tsv"] = buf.getvalue().encode()
+        payloads[args.out + ".degrees.tsv"] = format_rows(
+            "vertex\tdegree", np.arange(degrees.size), degrees).encode()
         shown = {"gamma": args.gamma, "n": args.n,
                  "target_edges": args.target_edges}
     else:
@@ -257,7 +156,7 @@ def _build_analyze(args):
         p + ".degrees.tsv": _text(write_degrees_tsv, hist),
         p + ".edges.tsv": _text(write_edges_tsv, surface),
         p + ".dnn.tsv": _text(write_dnn_tsv, profile),
-        p + ".xcells.tsv": _xcells_payload(mat),
+        p + ".xcells.tsv": _text(write_xcells_tsv, mat),
     }
     return payloads, {}, {"alpha": args.alpha}, [args.graph], None
 
@@ -269,8 +168,8 @@ def _fit_entry(fit, note=None) -> dict:
     if fit is None:
         return {"converged": False, "error": note}
     entry = {
-        "a": _float(fit.a), "b": _float(fit.b),
-        "sigma2": _float(fit.sigma2), "objective": _float(fit.objective),
+        "a": float(fit.a), "b": float(fit.b),
+        "sigma2": float(fit.sigma2), "objective": float(fit.objective),
         "iterations": int(fit.iterations), "converged": bool(fit.converged),
         "domain_size": int(fit.domain_size),
     }
@@ -280,19 +179,18 @@ def _fit_entry(fit, note=None) -> dict:
 
 
 def _fit_tsv(degree_entry, edge_entry) -> bytes:
-    buf = io.StringIO()
-    buf.write("parameter\testimate\tsigma2\titerations\tconverged\n")
+    rows = []
     for names, entry in ((("a1", "b1"), degree_entry),
                          (("a2", "b2"), edge_entry)):
-        for name in names:
+        for name, key in zip(names, ("a", "b")):
             if "a" not in entry:
-                buf.write(f"{name}\tnan\tnan\t0\tfalse\n")
+                rows.append((name, "nan", "nan", 0, "false"))
                 continue
-            value = entry["a"] if name.startswith("a") else entry["b"]
             conv = "true" if entry["converged"] else "false"
-            buf.write(f"{name}\t{value!r}\t{entry['sigma2']!r}\t"
-                      f"{entry['iterations']}\t{conv}\n")
-    return buf.getvalue().encode()
+            rows.append((name, entry[key], entry["sigma2"],
+                         entry["iterations"], conv))
+    return format_rows("parameter\testimate\tsigma2\titerations\tconverged",
+                       *zip(*rows)).encode()
 
 
 def _resolve_range(args, tails, surface, grid):
@@ -353,7 +251,7 @@ def _build_fit(args):
         if fd is not None and fd.converged:
             rep = bootstrap_vertices(hist, rng, B=args.bootstrap,
                                      seed=args.seed, threads=args.threads)
-            boot["degrees"] = {"sigma_s2": _float(rep.sigma_s2),
+            boot["degrees"] = {"sigma_s2": float(rep.sigma_s2),
                                "iterations": rep.iterations,
                                "diverged": rep.diverged}
         else:
@@ -366,7 +264,7 @@ def _build_fit(args):
             inputs.append(args.xcells)
             rep = bootstrap_edges(hist, matrix, dom, grid, B=args.bootstrap,
                                   seed=args.seed, threads=args.threads)
-            boot["edges"] = {"sigma_s2": _float(rep.sigma_s2),
+            boot["edges"] = {"sigma_s2": float(rep.sigma_s2),
                              "iterations": rep.iterations,
                              "diverged": rep.diverged}
         else:
@@ -420,22 +318,20 @@ def _build_bootstrap(args):
         rep = bootstrap_edges(hist, matrix, dom, grid, B=args.iterations,
                               seed=args.seed, threads=args.threads)
 
-    buf = io.StringIO()
-    buf.write("iteration\testimate\n")
-    for i, est in enumerate(rep.estimates.tolist()):
-        buf.write(f"{i}\t{est!r}\n")
-    buf.write(f"sigma_s2\t{_float(rep.sigma_s2)!r}\n")
+    table = format_rows(
+        "iteration\testimate", [*range(rep.iterations), "sigma_s2"],
+        [*rep.estimates.tolist(), float(rep.sigma_s2)])
     report = {
         "target": rep.target,
         "original": _fit_entry(rep.original),
-        "sigma_s2": _float(rep.sigma_s2),
+        "sigma_s2": float(rep.sigma_s2),
         "iterations": rep.iterations,
         "diverged": rep.diverged,
         "range": {"lo": rng.lo, "hi": rng.hi, "auto": auto},
     }
     p = args.out_prefix
     payloads = {
-        p + ".bootstrap.tsv": buf.getvalue().encode(),
+        p + ".bootstrap.tsv": table.encode(),
         p + ".bootstrap.json": _json_payload(report),
     }
     shown = {"target": args.target, "iterations": args.iterations,
@@ -480,18 +376,15 @@ def _build_theory_expected(args):
     p = args.out_prefix
     if args.d:
         ds = _parse_int_list(args.d, "--d")
-        buf = io.StringIO()
-        buf.write("d\texpected\n")
-        for d in ds:
-            buf.write(f"{d}\t{_float(expected_degree_count(params, d))!r}\n")
-        payloads[p + ".expected_degrees.tsv"] = buf.getvalue().encode()
+        payloads[p + ".expected_degrees.tsv"] = format_rows(
+            "d\texpected", ds,
+            [float(expected_degree_count(params, d)) for d in ds]).encode()
     if args.pairs:
-        buf = io.StringIO()
-        buf.write("d1\td2\texpected\n")
-        for d1, d2 in _parse_pairs(args.pairs):
-            buf.write(
-                f"{d1}\t{d2}\t{_float(expected_edge_count(params, d1, d2))!r}\n")
-        payloads[p + ".expected_edges.tsv"] = buf.getvalue().encode()
+        d1s, d2s = zip(*_parse_pairs(args.pairs))
+        payloads[p + ".expected_edges.tsv"] = format_rows(
+            "d1\td2\texpected", d1s, d2s,
+            [float(expected_edge_count(params, d1, d2))
+             for d1, d2 in zip(d1s, d2s)]).encode()
     shown = {"a": args.a, "m": args.m, "n": args.n,
              "d": args.d, "pairs": args.pairs}
     return payloads, {}, shown, [], None
@@ -502,9 +395,9 @@ def _build_theory_rho_shape(args):
         args.a2, ratio_range=(args.ratio_min, args.ratio_max),
         d2_range=(args.d2_min, args.d2_max), grid_size=args.grid_size)
     payload = {
-        "a": _float(report.a),
-        "constant": _float(report.constant),
-        "max_rel_deviation": _float(report.max_rel_deviation),
+        "a": float(report.a),
+        "constant": float(report.constant),
+        "max_rel_deviation": float(report.max_rel_deviation),
         "pairs": [[int(d1), int(d2)] for d1, d2 in report.pairs],
     }
     payloads = {args.out_prefix + ".rho_shape.json": _json_payload(payload)}
@@ -519,26 +412,23 @@ def _build_theory_multiplicity(args):
     report = multiplicity_scaling_report(
         args.samples, n_list, args.a, args.m,
         seed=args.seed, threads=args.threads)
-    buf = io.StringIO()
-    buf.write("n\tmean_loops\tmean_multi\tloop_fraction\tmulti_fraction\n")
-    for i, n in enumerate(report.n_list):
-        buf.write(f"{n}\t{_float(report.mean_loops[i])!r}\t"
-                  f"{_float(report.mean_multi[i])!r}\t"
-                  f"{_float(report.loop_fractions[i])!r}\t"
-                  f"{_float(report.multi_fractions[i])!r}\n")
+    columns = {"mean_loops": report.mean_loops,
+               "mean_multi": report.mean_multi,
+               "loop_fractions": report.loop_fractions,
+               "multi_fractions": report.multi_fractions}
+    table = format_rows(
+        "n\tmean_loops\tmean_multi\tloop_fraction\tmulti_fraction",
+        report.n_list, *columns.values())
     payload = {
         "a": args.a, "m": args.m, "samples": args.samples,
         "n_list": [int(n) for n in report.n_list],
-        "multi_slope": _float(report.multi_slope),
-        "loops_slope": _float(report.loops_slope),
-        "mean_loops": [_float(v) for v in report.mean_loops],
-        "mean_multi": [_float(v) for v in report.mean_multi],
-        "loop_fractions": [_float(v) for v in report.loop_fractions],
-        "multi_fractions": [_float(v) for v in report.multi_fractions],
+        "multi_slope": float(report.multi_slope),
+        "loops_slope": float(report.loops_slope),
+        **{key: values.tolist() for key, values in columns.items()},
     }
     p = args.out_prefix
     payloads = {
-        p + ".multiplicity.tsv": buf.getvalue().encode(),
+        p + ".multiplicity.tsv": table.encode(),
         p + ".multiplicity.json": _json_payload(payload),
     }
     shown = {"a": args.a, "m": args.m, "samples": args.samples,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ __all__ = [
 
 BINARY_MAGIC = b"PAGL"
 BINARY_VERSION = 1
+
+# vertex ids are packed two to a 64-bit key, so they must fit in 32 bits
+MAX_VERTICES = 1 << 32
 
 
 class GraphFormatError(ValueError):
@@ -81,6 +85,9 @@ class Graph:
         self.n = int(self.n)
         if self.n < 0:
             raise GraphValidationError("vertex count must be non-negative")
+        if self.n > MAX_VERTICES:
+            raise GraphValidationError(
+                f"vertex count {self.n} exceeds the 32-bit id limit {MAX_VERTICES}")
         self.edges = _as_edge_array(self.edges)
         if self.edges.size:
             lo = self.edges.min()
@@ -152,13 +159,27 @@ class MultiplicityReport:
 # ---------------------------------------------------------------------------
 # persistence
 
-def _open_text(source, mode):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, mode, encoding="ascii"), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # byte stream: wrap without closing the underlying buffer
-    return io.TextIOWrapper(source, encoding="ascii", write_through=True), False
+@contextmanager
+def _open_stream(target, mode: str):
+    """Yield a stream for ``target`` in ``mode`` (an ``open`` mode).
+
+    A path is opened (ASCII in text modes) and closed on exit; an open
+    stream is flushed and left open.  Text modes wrap a byte stream, and
+    the wrapper is detached on exit so the byte stream stays usable.
+    """
+    binary = "b" in mode
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, encoding=None if binary else "ascii") as stream:
+            yield stream
+    elif binary or isinstance(target, io.TextIOBase):
+        yield target
+        target.flush()
+    else:
+        wrapper = io.TextIOWrapper(target, encoding="ascii", write_through=True)
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
 
 
 def load_edge_list(source) -> Graph:
@@ -169,12 +190,8 @@ def load_edge_list(source) -> Graph:
     number; ids at or above a declared count raise
     :class:`GraphValidationError`.
     """
-    stream, owned = _open_text(source, "r")
-    try:
+    with _open_stream(source, "r") as stream:
         text = stream.read()
-    finally:
-        if owned:
-            stream.close()
 
     declared_n = None
     src: list[int] = []
@@ -225,34 +242,19 @@ def load_edge_list(source) -> Graph:
 
 def save_edge_list(g: Graph, sink) -> None:
     """Write ``g`` as text: an ``#n`` header then one edge per line."""
-    stream, owned = _open_text(sink, "w")
-    try:
+    with _open_stream(sink, "w") as stream:
         stream.write(f"#n {g.n}\n")
         # chunked formatting: tolist + join is much faster than per-row write
         edges = g.edges
         for lo in range(0, edges.shape[0], 1 << 18):
             block = edges[lo:lo + (1 << 18)].tolist()
             stream.write("".join(f"{u} {v}\n" for u, v in block))
-        stream.flush()
-    finally:
-        if owned:
-            stream.close()
-
-
-def _open_binary(source, mode):
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, mode), True
-    return source, False
 
 
 def load_binary(source) -> Graph:
     """Read the binary edge-list format (magic ``PAGL``, version 1)."""
-    stream, owned = _open_binary(source, "rb")
-    try:
+    with _open_stream(source, "rb") as stream:
         data = stream.read()
-    finally:
-        if owned:
-            stream.close()
     if len(data) < 21 or data[:4] != BINARY_MAGIC:
         raise GraphFormatError("not a PAGL binary edge list (bad magic)")
     if data[4] != BINARY_VERSION:
@@ -270,43 +272,33 @@ def load_binary(source) -> Graph:
 
 
 def save_binary(g: Graph, sink) -> None:
-    stream, owned = _open_binary(sink, "wb")
-    try:
+    with _open_stream(sink, "wb") as stream:
         stream.write(BINARY_MAGIC)
         stream.write(bytes([BINARY_VERSION]))
         stream.write(np.array([g.n, g.num_edges], dtype="<u8").tobytes())
         stream.write(g.edges.astype("<u8").tobytes())
-        stream.flush()
-    finally:
-        if owned:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------
 # simplification and multiplicity accounting
 
-def _unique_unordered_pairs(edges: np.ndarray, n: int):
+def _unique_unordered_pairs(edges: np.ndarray):
     """Distinct non-loop unordered pairs and how often each occurs."""
     u = edges[:, 0]
     v = edges[:, 1]
     keep = u != v
     lo = np.minimum(u[keep], v[keep])
     hi = np.maximum(u[keep], v[keep])
-    if n <= (1 << 32):
-        packed = (lo.astype(np.uint64) << np.uint64(32)) | hi.astype(np.uint64)
-        keys, counts = np.unique(packed, return_counts=True)
-        lo_u = (keys >> np.uint64(32)).astype(np.int64)
-        hi_u = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    else:
-        pairs = np.column_stack([lo, hi])
-        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-        lo_u, hi_u = uniq[:, 0], uniq[:, 1]
+    packed = (lo.astype(np.uint64) << np.uint64(32)) | hi.astype(np.uint64)
+    keys, counts = np.unique(packed, return_counts=True)
+    lo_u = (keys >> np.uint64(32)).astype(np.int64)
+    hi_u = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
     return lo_u, hi_u, counts, int(np.count_nonzero(keep))
 
 
 def simplify(g: Graph) -> SimpleGraph:
     """Drop loops, merge parallel edges, and return sorted CSR adjacency."""
-    lo, hi, _, _ = _unique_unordered_pairs(g.edges, g.n)
+    lo, hi, _, _ = _unique_unordered_pairs(g.edges)
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
     order = np.lexsort((dst, src))
@@ -325,7 +317,7 @@ def count_multiplicities(g: Graph) -> MultiplicityReport:
     unordered pairs, so every copy beyond the first counts once.
     """
     total = g.num_edges
-    _, _, counts, nonloop = _unique_unordered_pairs(g.edges, g.n)
+    _, _, counts, nonloop = _unique_unordered_pairs(g.edges)
     loops = total - nonloop
     multi = nonloop - counts.shape[0]
     return MultiplicityReport(loops=int(loops), multi_edges=int(multi), total_edges=total)

@@ -1,17 +1,16 @@
 """Empirical degree statistics of simple graphs.
 
-Provides the degree histogram, the symmetric edge-degree matrix X(d1,d2)
-with its diagonal double-count convention (an edge joining two degree-d
-vertices adds 2 to X(d,d)), strict-tail cumulative counts, the
-tail-correlation surface rho on a geometric integer grid, and the average
-neighbor degree profile.  TSV emitters at the bottom are the plot-data
-interface used by the CLI.
+Provides the degree histogram, the edge-degree table X(d1,d2) as one row
+per unordered cell d1 >= d2 with its plain edge count, strict-tail
+cumulative counts, the tail-correlation surface rho on a geometric
+integer grid, and the average neighbor degree profile.  The surface uses
+the symmetric convention in which an edge joining two degree-d vertices
+adds 2 to X(d,d); :meth:`EdgeDegreeMatrix.ordered_weight` is where that
+doubling lives.  The TSV form of each table is in :mod:`pagl.tables`.
 """
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,18 +24,13 @@ __all__ = [
     "RhoSurface",
     "NeighborDegreeProfile",
     "TailCounts",
-    "TailEdgeCounts",
     "degree_histogram",
     "histogram_from_degrees",
     "edge_degree_matrix",
     "cumulative_degree",
-    "cumulative_edges",
     "log_grid",
     "rho_surface",
     "d_nn_profile",
-    "write_degrees_tsv",
-    "write_edges_tsv",
-    "write_dnn_tsv",
 ]
 
 
@@ -88,10 +82,10 @@ def histogram_from_degrees(degrees) -> DegreeHistogram:
 
 @dataclass
 class EdgeDegreeMatrix:
-    """Sparse symmetric X(d1,d2): edge counts by endpoint-degree pair.
+    """Sparse X(d1,d2): edge counts by endpoint-degree pair.
 
-    Stored as ordered-pair cells (both orientations of every off-diagonal
-    pair), so ``x`` at a diagonal cell already carries the double count.
+    One row per unordered cell ``d1 >= d2`` holding at least one edge,
+    sorted by ``(d1, d2)``; ``x`` is the plain number of edges in the cell.
     """
 
     d1: np.ndarray
@@ -104,40 +98,24 @@ class EdgeDegreeMatrix:
             for a, b, w in zip(self.d1, self.d2, self.x)
         }
 
-    def value(self, d1: int, d2: int) -> int:
-        key = (np.int64(d1) << np.int64(32)) | np.int64(d2)
-        packed = (self.d1 << np.int64(32)) | self.d2
-        i = np.searchsorted(packed, key)
-        if i < packed.size and packed[i] == key:
-            return int(self.x[i])
-        return 0
-
-    def marginals(self):
-        """Per-degree row sums: degrees d and sum_d2 X(d, d2)."""
-        vals, starts = np.unique(self.d1, return_index=True)
-        sums = np.add.reduceat(self.x, starts) if self.x.size else self.x
-        return vals, sums
-
-    def unordered_cells(self):
-        """(hi, lo, edge_count) per unordered pair; diagonal halved back."""
-        keep = self.d1 >= self.d2
-        hi = self.d1[keep]
-        lo = self.d2[keep]
-        w = self.x[keep].copy()
-        diag = hi == lo
-        w[diag] //= 2
-        return hi, lo, w
+    def ordered_weight(self) -> np.ndarray:
+        """Per-cell factor of the symmetric convention: 2 on the diagonal,
+        where an edge joining two degree-d vertices adds 2 to X(d,d), and
+        1 elsewhere."""
+        return 1 + (self.d1 == self.d2)
 
     @property
     def total_edges(self) -> int:
-        return int(self.x.sum()) // 2
+        return int(self.x.sum())
 
 
 def edge_degree_matrix(g: SimpleGraph) -> EdgeDegreeMatrix:
     deg = np.diff(g.indptr).astype(np.int64)
-    src_deg = np.repeat(deg, deg)  # degree of the slot's source vertex
-    dst_deg = deg[g.indices]
-    packed = (src_deg << np.int64(32)) | dst_deg
+    src = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+    upper = g.indices > src  # each edge once, from its smaller endpoint
+    a = deg[src[upper]]
+    b = deg[g.indices[upper]]
+    packed = (np.maximum(a, b) << np.int64(32)) | np.minimum(a, b)
     keys, counts = np.unique(packed, return_counts=True)
     return EdgeDegreeMatrix(
         d1=(keys >> np.int64(32)),
@@ -172,31 +150,6 @@ def cumulative_degree(h: DegreeHistogram) -> TailCounts:
     suffix = np.zeros(d.size + 1, dtype=np.int64)
     suffix[:-1] = c[::-1].cumsum()[::-1]
     return TailCounts(d, suffix)
-
-
-@dataclass
-class TailEdgeCounts:
-    """Evaluator of the edge tail X~: pairs (j1 >= j2) with j1 > max(d1,d2)
-    and j2 > min(d1,d2), counted with the matrix's symmetric values."""
-
-    hi: np.ndarray
-    lo: np.ndarray
-    w: np.ndarray  # diagonal cells carry their doubled value
-
-    def at(self, d1, d2):
-        d1 = np.asarray(d1)
-        d2 = np.asarray(d2)
-        a = np.maximum(d1, d2)
-        b = np.minimum(d1, d2)
-        mask = (self.hi[..., :] > a[..., None]) & (self.lo[..., :] > b[..., None])
-        return (mask * self.w).sum(axis=-1)
-
-
-def cumulative_edges(x: EdgeDegreeMatrix) -> TailEdgeCounts:
-    hi, lo, w = x.unordered_cells()
-    w = w.copy()
-    w[hi == lo] *= 2  # restore the diagonal convention in tail sums
-    return TailEdgeCounts(hi, lo, w)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +226,14 @@ def _bin_cells(points: np.ndarray, hi, lo, w):
     return h
 
 
+def _grid_index(points: np.ndarray, values: np.ndarray):
+    """Position of each value in ``points`` and whether it is a grid point."""
+    idx = np.searchsorted(points, values)
+    on = idx < points.size
+    on[on] = points[idx[on]] == values[on]
+    return idx, on
+
+
 def _suffix2d(h: np.ndarray) -> np.ndarray:
     return h[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
 
@@ -288,20 +249,15 @@ def rho_surface(h: DegreeHistogram, x: EdgeDegreeMatrix, grid: LogGrid) -> RhoSu
     tails = cumulative_degree(h)
     cum_deg = tails.at(points)
 
-    hi, lo, w = x.unordered_cells()
-    w = w.copy()
-    w[hi == lo] *= 2
+    hi, lo = x.d1, x.d2
+    w = x.x * x.ordered_weight()
     cum_edges = _surface_from_h(points, _bin_cells(points, hi, lo, w))
 
     k = points.size
     x_exact = np.zeros((k, k), dtype=np.int64)
-    i1 = np.searchsorted(points, hi)
-    i2 = np.searchsorted(points, lo)
-    on_grid = (
-        (i1 < k) & (i2 < k)
-        & (points[np.minimum(i1, k - 1)] == hi)
-        & (points[np.minimum(i2, k - 1)] == lo)
-    )
+    i1, on1 = _grid_index(points, hi)
+    i2, on2 = _grid_index(points, lo)
+    on_grid = on1 & on2
     x_exact[i1[on_grid], i2[on_grid]] = w[on_grid]
     x_exact = np.maximum(x_exact, x_exact.T)
 
@@ -328,68 +284,12 @@ class NeighborDegreeProfile:
 def d_nn_profile(x: EdgeDegreeMatrix) -> NeighborDegreeProfile:
     if x.x.size == 0:
         return NeighborDegreeProfile(np.empty(0, np.int64), np.empty(0, np.float64))
-    vals, starts = np.unique(x.d1, return_index=True)
-    num = np.add.reduceat(x.d2 * x.x, starts).astype(np.float64)
-    den = np.add.reduceat(x.x, starts).astype(np.float64)
-    return NeighborDegreeProfile(vals, num / den)
-
-
-# ---------------------------------------------------------------------------
-# TSV emitters (CLI plot data)
-
-def _open_sink(sink):
-    if isinstance(sink, (str, os.PathLike)):
-        return open(sink, "w", encoding="ascii"), True
-    if isinstance(sink, io.TextIOBase):
-        return sink, False
-    return io.TextIOWrapper(sink, encoding="ascii", write_through=True), False
-
-
-def write_degrees_tsv(h: DegreeHistogram, sink) -> None:
-    """Rows ``d<TAB>count<TAB>cumulative`` over observed degrees (0 bucket
-    included when present); cumulative is the strict tail count."""
-    stream, owned = _open_sink(sink)
-    tails = cumulative_degree(h)
-    try:
-        stream.write("d\tcount\tcumulative\n")
-        for d, c in h.as_dict().items():
-            stream.write(f"{d}\t{c}\t{int(tails.at(d))}\n")
-        stream.flush()
-    finally:
-        if owned:
-            stream.close()
-
-
-def write_edges_tsv(surface: RhoSurface, sink) -> None:
-    """Rows ``d1<TAB>d2<TAB>X<TAB>Xcum<TAB>rho`` over grid pairs d1 >= d2
-    where rho is defined."""
-    stream, owned = _open_sink(sink)
-    points = surface.grid.points.tolist()
-    try:
-        stream.write("d1\td2\tX\tXcum\trho\n")
-        for a in range(len(points)):
-            for b in range(a + 1):
-                r = surface.rho[a, b]
-                if np.isnan(r):
-                    continue
-                stream.write(
-                    f"{points[a]}\t{points[b]}\t{int(surface.x_exact[a, b])}\t"
-                    f"{int(surface.cum_edges[a, b])}\t{float(r)!r}\n"
-                )
-        stream.flush()
-    finally:
-        if owned:
-            stream.close()
-
-
-def write_dnn_tsv(profile: NeighborDegreeProfile, sink) -> None:
-    """Rows ``d<TAB>dnn`` over degrees with at least one edge."""
-    stream, owned = _open_sink(sink)
-    try:
-        stream.write("d\tdnn\n")
-        for d, v in zip(profile.d.tolist(), profile.dnn.tolist()):
-            stream.write(f"{d}\t{v!r}\n")
-        stream.flush()
-    finally:
-        if owned:
-            stream.close()
+    # ordered row sums: a cell counts in row d1 and in row d2 (twice in
+    # row d on the diagonal); integer sums, so the ratio is order-free
+    num = np.zeros(int(x.d1.max()) + 1, dtype=np.int64)
+    den = np.zeros_like(num)
+    for row, other in ((x.d1, x.d2), (x.d2, x.d1)):
+        np.add.at(num, row, other * x.x)
+        np.add.at(den, row, x.x)
+    d = np.flatnonzero(den)
+    return NeighborDegreeProfile(d, num[d] / den[d])

@@ -1,0 +1,95 @@
+"""Reference implementations that the tests check the library against.
+
+They are slow, direct transcriptions of the definitions: the exact
+per-step attachment law of the chain, the ordered (both orientations)
+form of the edge-degree table with its row sums, and the strict two-sided
+edge tail evaluated cell by cell.
+"""
+
+from collections import Counter
+from dataclasses import dataclass, field
+
+import numpy as np
+
+
+@dataclass
+class AttachmentState:
+    """Chain state after t completed steps.
+
+    ``degrees[v]`` is the multigraph degree (a loop counts 2) and
+    ``excess_list`` holds vertex v exactly deg(v)-1 times, so after step t
+    the degree sum is 2t and the list has t entries.
+    """
+
+    t: int = 0
+    degrees: list = field(default_factory=list)
+    excess_list: list = field(default_factory=list)
+
+    def apply_step(self, target: int) -> None:
+        """Add vertex t with an edge to ``target`` (== t gives a loop)."""
+        s = self.t
+        if not 0 <= target <= s:
+            raise ValueError(f"target {target} out of range for step {s + 1}")
+        self.degrees.append(1)
+        self.degrees[target] += 1
+        self.excess_list.append(target)
+        self.t = s + 1
+
+
+def attachment_distribution(state: AttachmentState, a):
+    """Target distribution for the next chain step, as a length-(t+1) list.
+
+    Entry s < t is (deg(s)+a-1)/((a+1)(t+1)-1); the last entry is the new
+    vertex's own mass a over the same denominator.  Exact when ``a`` is a
+    Fraction: the entries then sum to 1 as rationals.
+    """
+    if a <= 0:
+        raise ValueError("attractiveness a must be positive")
+    t = state.t + 1
+    denom = (a + 1) * t - 1
+    probs = [(state.degrees[s] + a - 1) / denom for s in range(t - 1)]
+    probs.append(a / denom)
+    return probs
+
+
+def ordered_cells(mat) -> dict:
+    """X(d1, d2) over ordered pairs: both orientations of every cell, and
+    an edge joining two degree-d vertices counted twice in X(d, d)."""
+    out = {}
+    for (a, b), w in mat.as_dict().items():
+        if a == b:
+            out[(a, a)] = 2 * w
+        else:
+            out[(a, b)] = out[(b, a)] = w
+    return out
+
+
+def row_sums(mat):
+    """Sorted degrees d and the ordered row sums sum_d2 X(d, d2)."""
+    sums = Counter()
+    for (a, _), w in ordered_cells(mat).items():
+        sums[a] += w
+    d = sorted(sums)
+    return np.array(d, dtype=np.int64), np.array([sums[v] for v in d], np.int64)
+
+
+@dataclass
+class TailEdgeCounts:
+    """Evaluator of the edge tail X~: pairs (j1 >= j2) with j1 > max(d1,d2)
+    and j2 > min(d1,d2), counted with the matrix's symmetric values."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+    w: np.ndarray  # diagonal cells carry their doubled value
+
+    def at(self, d1, d2):
+        d1 = np.asarray(d1)
+        d2 = np.asarray(d2)
+        a = np.maximum(d1, d2)
+        b = np.minimum(d1, d2)
+        mask = (self.hi[..., :] > a[..., None]) & (self.lo[..., :] > b[..., None])
+        return (mask * self.w).sum(axis=-1)
+
+
+def cumulative_edges(mat) -> TailEdgeCounts:
+    return TailEdgeCounts(mat.d1, mat.d2, np.where(mat.d1 == mat.d2, 2 * mat.x, mat.x))

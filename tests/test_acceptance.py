@@ -22,10 +22,9 @@ from pagl.baselines import (
     generate_holme_kim,
     sample_power_law_degrees,
 )
+from oracles import AttachmentState, attachment_distribution, cumulative_edges
 from pagl.buckley_osthus import (
-    AttachmentState,
     BOParams,
-    attachment_distribution,
     generate_bo,
     generate_bo_chain,
     generate_bo_samples,
@@ -45,7 +44,6 @@ from pagl.stats import (
     RhoSurface,
     TailCounts,
     cumulative_degree,
-    cumulative_edges,
     d_nn_profile,
     degree_histogram,
     edge_degree_matrix,
@@ -280,7 +278,9 @@ def brute_tables(n, edges):
     for v in range(n):
         for u in adj[v]:
             xcounts[(deg[v], deg[u])] += 1  # ordered pairs double the diagonal
-    return deg, ncounts, xcounts
+    ucounts = Counter((max(deg[u], deg[v]), min(deg[u], deg[v]))
+                      for u, v in edges)  # unordered cells, one per edge
+    return deg, ncounts, xcounts, ucounts
 
 
 def test_criterion_09_identities_on_random_small_graphs():
@@ -301,8 +301,8 @@ def test_criterion_09_identities_on_random_small_graphs():
         xt = cumulative_edges(mat)
         prof = d_nn_profile(mat).as_dict()
 
-        deg, ncounts, xcounts = brute_tables(n, edges.tolist())
-        bad = mat.as_dict() != dict(xcounts)
+        deg, ncounts, xcounts, ucounts = brute_tables(n, edges.tolist())
+        bad = mat.as_dict() != dict(ucounts)
         for d1 in set(deg):
             if d1 == 0:
                 continue

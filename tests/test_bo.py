@@ -3,11 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import AttachmentState, attachment_distribution
 from pagl import _kernels
 from pagl.buckley_osthus import (
     BOParams,
-    AttachmentState,
-    attachment_distribution,
     generate_bo,
     generate_bo_chain,
     generate_bo_samples,

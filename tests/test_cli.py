@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pagl
 from pagl.cli import main
 from pagl.graphs import load_binary, load_edge_list
 
@@ -112,6 +118,15 @@ class TestAnalyze:
             assert (tmp_path / f"B.{name}.tsv").read_bytes() == (
                 pipeline / f"A.{name}.tsv"
             ).read_bytes()
+
+    def test_grid_without_points(self, tmp_path):
+        # alpha 2.5 puts no grid point at or below the maximum degree 1
+        g = tmp_path / "e.tsv"
+        g.write_text("#n 2\n0 1\n")
+        assert run("analyze", "--graph", g, "--alpha", 2.5,
+                   "--out-prefix", tmp_path / "E", "--verify") == 0
+        assert (tmp_path / "E.edges.tsv").read_text() == "d1\td2\tX\tXcum\trho\n"
+        assert (tmp_path / "E.xcells.tsv").read_text() == "d1\td2\tx\n1\t1\t1\n"
 
     def test_missing_graph(self, tmp_path):
         assert run("analyze", "--graph", tmp_path / "absent.tsv",
@@ -301,3 +316,39 @@ class TestExitCodesAndEnv:
                    "--n", 20, "--seed", 0, "--threads", 3, "--out", out) == 0
         manifest = json.loads((tmp_path / "g.tsv.manifest.json").read_text())
         assert manifest["threads"] == 3
+
+
+def run_limited(*argv):
+    """Run the CLI in a child process whose address space is capped at
+    1 GiB, so an oversized allocation fails fast instead of paging."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(pagl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "pagl.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=cap, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+class TestOversizedInputs:
+    def test_gds_degree_cap(self, tmp_path):
+        rc, err = run_limited("generate", "--model", "gds", "--gamma", 1.5,
+                              "--n", 1_000_000, "--out", tmp_path / "g.bin")
+        assert rc == 2 and "Traceback" not in err
+        assert "degree cap" in err
+
+    def test_declared_vertex_count(self, tmp_path):
+        g = tmp_path / "g.tsv"
+        g.write_text("#n 100000000000\n0 1\n")
+        rc, err = run_limited("analyze", "--graph", g,
+                              "--out-prefix", tmp_path / "A")
+        assert rc == 2 and "Traceback" not in err
+        assert "vertex count" in err
+
+    def test_hk_edge_slots(self, tmp_path):
+        rc, err = run_limited("generate", "--model", "hk", "--m", 12,
+                              "--n", 100_000_000, "--out", tmp_path / "g.bin")
+        assert rc == 2 and "Traceback" not in err
+        assert "slot limit" in err

@@ -3,20 +3,18 @@ import io
 import numpy as np
 import pytest
 
+from oracles import cumulative_edges, ordered_cells, row_sums
 from pagl.graphs import Graph, simplify
 from pagl.stats import (
     cumulative_degree,
-    cumulative_edges,
     d_nn_profile,
     degree_histogram,
     edge_degree_matrix,
     histogram_from_degrees,
     log_grid,
     rho_surface,
-    write_degrees_tsv,
-    write_dnn_tsv,
-    write_edges_tsv,
 )
+from pagl.tables import write_degrees_tsv, write_dnn_tsv, write_edges_tsv
 
 
 def path3():
@@ -52,26 +50,38 @@ class TestHistogram:
 class TestEdgeDegreeMatrix:
     def test_path_cells(self):
         x = edge_degree_matrix(path3())
-        assert x.as_dict() == {(1, 2): 2, (2, 1): 2}
-        assert x.value(1, 2) == 2 and x.value(2, 2) == 0
+        assert x.as_dict() == {(2, 1): 2}
+        assert ordered_cells(x) == {(1, 2): 2, (2, 1): 2}
 
     def test_diagonal_doubled(self):
-        # single edge between two degree-1 vertices lands on the diagonal
+        # single edge between two degree-1 vertices lands on the diagonal:
+        # one edge in the table, weight 2 in the symmetric convention
         x = edge_degree_matrix(simplify(Graph(2, [(0, 1)])))
-        assert x.as_dict() == {(1, 1): 2}
+        assert x.as_dict() == {(1, 1): 1}
+        assert x.ordered_weight().tolist() == [2]
+        assert ordered_cells(x) == {(1, 1): 2}
         assert x.total_edges == 1
 
-    def test_unordered_cells_halve_diagonal(self):
-        x = edge_degree_matrix(simplify(Graph(2, [(0, 1)])))
-        hi, lo, w = x.unordered_cells()
-        assert (hi.tolist(), lo.tolist(), w.tolist()) == ([1], [1], [1])
+    def test_rows_are_sorted_unordered_cells(self):
+        s = random_simple(5)
+        x = edge_degree_matrix(s)
+        deg = s.degrees()
+        brute = {}
+        for v in range(s.n):
+            for u in s.neighbors(v).tolist():
+                if u > v:
+                    cell = (max(deg[u], deg[v]), min(deg[u], deg[v]))
+                    brute[cell] = brute.get(cell, 0) + 1
+        assert x.as_dict() == brute
+        keys = list(zip(x.d1.tolist(), x.d2.tolist()))
+        assert keys == sorted(brute)
 
     def test_marginal_identity(self):
         # sum_d2 X(d, d2) = d * (#vertices of degree d)
         s = random_simple(0)
         x = edge_degree_matrix(s)
         h = degree_histogram(s).as_dict()
-        vals, sums = x.marginals()
+        vals, sums = row_sums(x)
         for d, total in zip(vals.tolist(), sums.tolist()):
             assert total == d * h[d]
 
@@ -99,7 +109,7 @@ class TestTailEdgeCounts:
         s = random_simple(2)
         x = edge_degree_matrix(s)
         t = cumulative_edges(x)
-        cells = x.as_dict()
+        cells = ordered_cells(x)
         for d1 in range(0, 12, 3):
             for d2 in range(0, 12, 3):
                 brute = sum(
@@ -162,9 +172,9 @@ class TestNeighborDegree:
         s = random_simple(4)
         x = edge_degree_matrix(s)
         p = d_nn_profile(x)
-        _, rowsums = x.marginals()
+        _, rowsums = row_sums(x)
         assert float((p.dnn * rowsums).sum()) == pytest.approx(
-            float((x.d2 * x.x).sum())
+            float(sum(b * w for (_, b), w in ordered_cells(x).items()))
         )
 
 

@@ -1,0 +1,218 @@
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pagl.cli import main
+from pagl.graphs import Graph, simplify
+from pagl.stats import (
+    DegreeHistogram,
+    EdgeDegreeMatrix,
+    NeighborDegreeProfile,
+    degree_histogram,
+    edge_degree_matrix,
+    log_grid,
+    rho_surface,
+)
+from pagl.tables import (
+    format_rows,
+    load_degrees_tsv,
+    load_dnn_tsv,
+    load_xcells_tsv,
+    surface_from_tables,
+    write_degrees_tsv,
+    write_dnn_tsv,
+    write_edges_tsv,
+    write_xcells_tsv,
+)
+
+
+def text_of(writer, obj) -> str:
+    buf = io.StringIO()
+    writer(obj, buf)
+    return buf.getvalue()
+
+
+degree_counts = st.dictionaries(st.integers(1, 10**6), st.integers(1, 10**9),
+                                max_size=30)
+cells = st.dictionaries(
+    st.tuples(st.integers(1, 10**6), st.integers(1, 10**6))
+    .map(lambda p: (max(p), min(p))),
+    st.integers(1, 10**9), min_size=1, max_size=40)
+
+
+def matrix_of(table: dict) -> EdgeDegreeMatrix:
+    keys = sorted(table)
+    return EdgeDegreeMatrix(np.array([a for a, _ in keys], np.int64),
+                            np.array([b for _, b in keys], np.int64),
+                            np.array([table[k] for k in keys], np.int64))
+
+
+class TestFormatRows:
+    def test_columns_and_types(self):
+        text = format_rows("a\tb\tc", np.array([1, 2]), np.array([0.1, np.nan]),
+                           ["x", 3.0])
+        assert text == "a\tb\tc\n1\t0.1\tx\n2\tnan\t3.0\n"
+
+    def test_header_only(self):
+        assert format_rows("a\tb", [], []) == "a\tb\n"
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            format_rows("a\tb", [1, 2], [1])
+
+
+class TestRoundTrip:
+    @given(degree_counts, st.integers(0, 1000))
+    def test_degrees(self, counts, isolated):
+        h = DegreeHistogram(counts, sum(counts.values()) + isolated)
+        assert load_degrees_tsv(io.StringIO(text_of(write_degrees_tsv, h))) == h
+
+    @given(cells)
+    def test_xcells(self, table):
+        mat = matrix_of(table)
+        back = load_xcells_tsv(io.StringIO(text_of(write_xcells_tsv, mat)))
+        for name in ("d1", "d2", "x"):
+            assert np.array_equal(getattr(back, name), getattr(mat, name))
+            assert getattr(back, name).dtype == np.int64
+
+    @given(st.dictionaries(st.integers(1, 10**6),
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           max_size=30))
+    def test_dnn(self, table):
+        d = np.array(sorted(table), np.int64)
+        prof = NeighborDegreeProfile(d, np.array([table[v] for v in d.tolist()],
+                                                 np.float64))
+        back = load_dnn_tsv(io.StringIO(text_of(write_dnn_tsv, prof)))
+        assert np.array_equal(back.d, prof.d)
+        assert back.dnn.tobytes() == prof.dnn.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                    max_size=150),
+           st.sampled_from([1.01, 1.2, 1.5, 2.0]))
+    def test_edges(self, edges, alpha):
+        s = simplify(Graph(30, edges))
+        hist = degree_histogram(s)
+        grid = log_grid(alpha, max(int(s.degrees().max()), 1))
+        surf = rho_surface(hist, edge_degree_matrix(s), grid)
+        text = text_of(write_edges_tsv, surf)
+        back = surface_from_tables(hist, io.StringIO(text), grid)
+        # the table holds the cells where rho is defined, and X is read
+        # back there only; the tail counts vanish wherever rho does not
+        assert np.array_equal(back.cum_deg, surf.cum_deg)
+        assert np.array_equal(back.rho, surf.rho, equal_nan=True)
+        assert np.array_equal(back.cum_edges, surf.cum_edges)
+        assert np.array_equal(back.x_exact,
+                              np.where(surf.defined(), surf.x_exact, 0))
+        assert text_of(write_edges_tsv, back) == text
+
+
+class TestReaderRejects:
+    @given(cells.filter(lambda t: len(t) >= 2), st.data())
+    def test_xcells_repeated_or_unsorted_rows(self, table, data):
+        rows = text_of(write_xcells_tsv, matrix_of(table)).splitlines()
+        body = rows[1:]
+        i = data.draw(st.integers(0, len(body) - 1))
+        j = data.draw(st.integers(0, len(body) - 1).filter(lambda v: v != i))
+        if data.draw(st.booleans()):
+            body[j] = body[i]  # a repeated cell
+        else:
+            body[i], body[j] = body[j], body[i]  # two cells out of order
+        with pytest.raises(ValueError, match="repeated or out of"):
+            load_xcells_tsv(io.StringIO("\n".join([rows[0], *body]) + "\n"))
+
+    def test_line_number_of_malformed_row(self):
+        text = "d\tdnn\n1\t2.0\n\n3\n"
+        with pytest.raises(ValueError, match=r"<stream>:4: malformed row '3'"):
+            load_dnn_tsv(io.StringIO(text))
+
+
+# -- the CLI exits 2 on each kind of bad table --------------------------------
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tables")
+    assert run("generate", "--model", "bo", "--a", 0.5, "--m", 3, "--n", 3000,
+               "--seed", 4, "--out", root / "g.tsv") == 0
+    assert run("analyze", "--graph", root / "g.tsv", "--out-prefix", root / "A") == 0
+    return root
+
+
+def fit_edges_table(root, edges):
+    return run("fit", "--degrees", root / "A.degrees.tsv", "--edges", edges,
+               "--d1-lo", 3, "--d1-hi", 60, "--out-prefix", root / "F")
+
+
+def bootstrap_xcells_table(root, xcells):
+    return run("bootstrap", "--target", "edges",
+               "--degrees", root / "A.degrees.tsv", "--xcells", xcells,
+               "--d1-lo", 3, "--d1-hi", 60, "--iterations", 2,
+               "--out-prefix", root / "B")
+
+
+def set_field(lines, row, col, value):
+    fields = lines[row].split("\t")
+    fields[col] = value
+    lines[row] = "\t".join(fields)
+
+
+def swap_first_off_diagonal(lines):
+    row = next(r for r in range(1, len(lines))
+               if lines[r].split("\t")[0] != lines[r].split("\t")[1])
+    d1, d2, x = lines[row].split("\t")
+    lines[row] = "\t".join([d2, d1, x])
+
+
+EDGES_CASES = {
+    "wrong header": lambda ls: ls.__setitem__(0, "d1\td2\tX\tXcum\tr"),
+    "extra field": lambda ls: ls.__setitem__(3, ls[3] + "\t7"),
+    "missing field": lambda ls: ls.__setitem__(3, ls[3].rsplit("\t", 1)[0]),
+    "off-grid pair": lambda ls: set_field(ls, 2, 0, "1000000000"),
+    "nan rho": lambda ls: set_field(ls, 2, 4, "nan"),
+    "non-integer X": lambda ls: set_field(ls, 2, 2, "1.5"),
+}
+
+XCELLS_CASES = {
+    "wrong header": lambda ls: ls.__setitem__(0, "d1\td2\tcount"),
+    "wrong field count": lambda ls: ls.__setitem__(2, ls[2] + "\t1"),
+    "unsorted rows": lambda ls: ls.__setitem__(slice(1, 3), ls[2:0:-1]),
+    "duplicate row": lambda ls: ls.insert(2, ls[1]),
+    "d1 < d2": swap_first_off_diagonal,
+    "count below 1": lambda ls: set_field(ls, 1, 2, "0"),
+    "non-integer count": lambda ls: set_field(ls, 1, 2, "2.5"),
+}
+
+
+def mutated(root, name, case, tag):
+    lines = (root / name).read_text().splitlines()
+    case(lines)
+    path = root / f"bad-{tag}-{name}"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestCliRejectsBadTables:
+    def test_unchanged_tables_pass(self, tables):
+        assert fit_edges_table(tables, tables / "A.edges.tsv") == 0
+        assert bootstrap_xcells_table(tables, tables / "A.xcells.tsv") == 0
+
+    @pytest.mark.parametrize("case", sorted(EDGES_CASES))
+    def test_edges_table(self, tables, case, capsys):
+        path = mutated(tables, "A.edges.tsv", EDGES_CASES[case], case.replace(" ", "_"))
+        assert fit_edges_table(tables, path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(XCELLS_CASES))
+    def test_xcells_table(self, tables, case, capsys):
+        path = mutated(tables, "A.xcells.tsv", XCELLS_CASES[case],
+                       case.replace(" ", "_").replace("<", "lt"))
+        assert bootstrap_xcells_table(tables, path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
