@@ -1,14 +1,12 @@
-"""Hot loops for graph generation.
+"""The Holme-Kim growth loop, compiled by numba when it is installed.
 
-Kernels consume pre-drawn uniform blocks instead of calling an RNG, so the
-compiled and pure-Python variants walk the exact same random stream and
-produce bit-identical graphs.  numba is optional; without it the same
-functions run as plain Python.
+The kernel consumes pre-drawn uniform blocks instead of calling an RNG, so
+the compiled and pure-Python variants walk the exact same random stream
+and produce bit-identical graphs.  numba is optional; without it the same
+function runs as plain Python.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 try:
     import numba
@@ -17,36 +15,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba
     numba = None
     HAVE_NUMBA = False
-
-
-def _chain_step_py(targets, s0, r, q, a):
-    """Advance the single-edge attachment chain by len(r) steps.
-
-    Step s (0-based new vertex id) attaches to target i with probability
-    (deg(i)+a-1)/((a+1)(s+1)-1) for existing i and a/((a+1)(s+1)-1) for
-    i = s.  Sampling splits that mass into a uniform urn (weight a per
-    vertex) and an excess urn realized by ``targets[:s]`` itself, in which
-    vertex v appears deg(v)-1 times.  One (r, q) pair is consumed per step:
-    r picks the urn, q indexes into it.
-    """
-    for k in range(r.shape[0]):
-        s = s0 + k
-        if s == 0:
-            # first step is the forced self-loop
-            targets[0] = 0
-            continue
-        t = s + 1.0
-        mass = (a + 1.0) * t - 1.0
-        if r[k] * mass < t * a:
-            i = int(q[k] * t)
-            if i > s:  # guard: q*t can round up to t
-                i = s
-        else:
-            idx = int(q[k] * s)
-            if idx > s - 1:
-                idx = s - 1
-            i = targets[idx]
-        targets[s] = i
 
 
 def _hk_place_py(edges, ep, deg, head, tail, nxt, adst,
@@ -154,11 +122,8 @@ def _hk_place_py(edges, ep, deg, head, tail, nxt, adst,
 
 
 if HAVE_NUMBA:
-    chain_step = numba.njit(cache=True, nogil=True)(_chain_step_py)
     hk_place = numba.njit(cache=True, nogil=True)(_hk_place_py)
 else:  # pragma: no cover
-    chain_step = _chain_step_py
     hk_place = _hk_place_py
 
-chain_step_py = _chain_step_py
 hk_place_py = _hk_place_py

@@ -9,8 +9,9 @@ uniform-over-endpoints special case.
 
 Randomness comes from numpy's PCG64; batch generation derives one child
 stream per sample via SeedSequence.spawn, so sample k is reproducible in
-isolation.  Generation itself consumes fixed-size blocks of uniforms
-(see _kernels), making outputs identical with or without numba.
+isolation.  Generation consumes fixed-size blocks of uniforms, and each
+block is resolved by whole-array numpy operations (see _resolve_block),
+so no per-step Python loop runs and threads overlap in numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .graphs import Graph
 
 __all__ = [
@@ -62,12 +62,52 @@ class BOParams:
             )
 
 
+def _resolve_block(targets, s0: int, r, q, a: float) -> None:
+    """Fill ``targets[s0:s0+len(r)]`` given the resolved ``targets[:s0]``.
+
+    Step s (0-based new vertex id) attaches to target i with probability
+    (deg(i)+a-1)/((a+1)(s+1)-1) for existing i and a/((a+1)(s+1)-1) for
+    i = s.  Sampling splits that mass into a uniform urn (weight a per
+    vertex) and an excess urn realized by ``targets[:s]`` itself, in which
+    vertex v appears deg(v)-1 times.  One (r, q) pair is consumed per step:
+    r picks the urn, q indexes into it; step 0 is the forced self-loop.
+    ``r`` and ``q`` are overwritten (they serve as scratch space).
+
+    A uniform draw is final at once.  An excess draw copies the target of
+    an earlier step, so the block is a forest of backward pointers whose
+    roots are uniform draws or steps before s0.  Unresolved steps hold
+    their pointer p as ~p (negative), and every round replaces each one by
+    what its pointer holds: a root's target ends the walk, another pointer
+    doubles its length (Wyllie's pointer jumping), so a chain of depth h
+    takes about log2(h) rounds.
+    """
+    t = np.arange(s0 + 1.0, s0 + r.shape[0] + 1.0)  # t = s + 1
+    mass = np.multiply(t, a + 1.0)
+    mass -= 1.0
+    mass *= r
+    copy = mass >= np.multiply(t, a, out=r)
+    if s0 == 0:
+        copy[0] = False
+    t -= copy  # urn size: s + 1 for a uniform draw, s for a copy
+    q *= t
+    t -= 1.0  # the sequential sampler's clip; q < 1 keeps q * t below t
+    np.minimum(q, t, out=q)
+    block = targets[s0:s0 + r.shape[0]]
+    block[:] = q
+    block ^= -copy.view(np.int8)  # p -> ~p on copies
+    pending = copy.nonzero()[0]
+    while pending.shape[0]:
+        held = targets[~block[pending]]
+        block[pending] = held
+        pending = pending[held < 0]
+
+
 def generate_bo_chain(a: float, n: int, seed) -> Graph:
     """Run the single-edge chain for n steps; returns n vertices, n edges.
 
     Edge k is (k, target_k); edge 0 is the forced loop (0, 0).  ``seed``
     may be an int or a SeedSequence.  Deterministic across platforms and
-    with or without numba.
+    thread counts.
     """
     if not (isinstance(n, int) and 1 <= n <= MAX_CHAIN):
         raise ValueError(f"chain length must be an integer in [1, {MAX_CHAIN}], got {n!r}")
@@ -78,9 +118,8 @@ def generate_bo_chain(a: float, n: int, seed) -> Graph:
     s0 = 0
     while s0 < n:
         length = min(_BLOCK, n - s0)
-        r = rng.random(length)
-        q = rng.random(length)
-        _kernels.chain_step(targets, s0, r, q, float(a))
+        rq = rng.random(2 * length)  # the r block, then the q block
+        _resolve_block(targets, s0, rq[:length], rq[length:], float(a))
         s0 += length
     edges = np.empty((n, 2), dtype=np.int64)
     edges[:, 0] = np.arange(n, dtype=np.int64)

@@ -11,7 +11,8 @@ Each table is a header line, then one tab-separated row per entry:
 Tables are written and read a whole column at a time.  Floats are written
 with ``repr``, so they read back bit for bit.  Readers raise ValueError,
 naming the file, for a wrong header, a row with the wrong number of
-fields, or a value the table cannot hold.
+fields, a value the table cannot hold, or rows that are repeated, out of
+order, or inconsistent with one another.
 """
 
 from __future__ import annotations
@@ -129,9 +130,29 @@ def _read_table(source, header: str, kinds: str):
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _require(name: str, ok: np.ndarray, complaint) -> None:
+    """Raise ValueError naming the file at the first row where ``ok`` is
+    False; ``complaint(r)`` describes row r."""
+    if not ok.all():
+        raise ValueError(f"{name}: {complaint(int(np.argmin(ok)))}")
+
+
 def load_degrees_tsv(source) -> DegreeHistogram:
-    """Rebuild the degree histogram from an analyze degrees table."""
-    _, (d, c, _cum) = _read_table(source, DEGREES_HEADER, "iii")
+    """Rebuild the degree histogram from an analyze degrees table.
+
+    Rows must be degrees d >= 0 with a count of at least 1, in strictly
+    increasing order, and ``cumulative`` must be the strict tail count
+    (the sum of the counts in the rows below), as the writer leaves them.
+    """
+    name, (d, c, cum) = _read_table(source, DEGREES_HEADER, "iii")
+    _require(name, (d >= 0) & (c >= 1),
+             lambda r: f"bad row (degree {d[r]}, count {c[r]})")
+    _require(name, d[1:] > d[:-1],
+             lambda r: f"degree {d[r + 1]} is repeated or out of order")
+    tail = np.cumsum(c[::-1])[::-1] - c
+    _require(name, cum == tail,
+             lambda r: f"cumulative {cum[r]} at degree {d[r]} is not the "
+                       f"tail count {tail[r]}")
     counts = dict(zip(d.tolist(), c.tolist()))
     isolated = counts.pop(0, 0)
     return DegreeHistogram(counts, sum(counts.values()) + isolated)
@@ -149,15 +170,11 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
     points = grid.points
     k = points.size
     (i, j), on_grid = _grid_index(points, np.stack([d1, d2]))
-    off = ~on_grid.all(axis=0)
-    if off.any():
-        r = int(np.argmax(off))
-        raise ValueError(
-            f"{name}: degree pair ({d1[r]}, {d2[r]}) is not on the "
-            f"alpha grid; pass the --alpha used by analyze")
-    if not np.isfinite(rho).all():
-        r = int(np.argmin(np.isfinite(rho)))
-        raise ValueError(f"{name}: rho {rho[r]!r} at ({d1[r]}, {d2[r]}) is not finite")
+    _require(name, on_grid.all(axis=0),
+             lambda r: f"degree pair ({d1[r]}, {d2[r]}) is not on the "
+                       f"alpha grid; pass the --alpha used by analyze")
+    _require(name, np.isfinite(rho),
+             lambda r: f"rho {rho[r]!r} at ({d1[r]}, {d2[r]}) is not finite")
     cum_edges = np.zeros((k, k), dtype=np.int64)
     x_exact = np.zeros((k, k), dtype=np.int64)
     full_rho = np.full((k, k), np.nan)
@@ -181,13 +198,9 @@ def load_xcells_tsv(source) -> EdgeDegreeMatrix:
     increasing (d1, d2) order, as the writer leaves them.
     """
     name, (d1, d2, x) = _read_table(source, XCELLS_HEADER, "iii")
-    bad = (d1 < d2) | (x < 1)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise ValueError(f"{name}: bad cell ({d1[r]}, {d2[r]}, {x[r]})")
+    _require(name, (d1 >= d2) & (x >= 1),
+             lambda r: f"bad cell ({d1[r]}, {d2[r]}, {x[r]})")
     ahead = (d1[1:] > d1[:-1]) | ((d1[1:] == d1[:-1]) & (d2[1:] > d2[:-1]))
-    if not ahead.all():
-        r = int(np.argmin(ahead)) + 1
-        raise ValueError(f"{name}: cell ({d1[r]}, {d2[r]}) is repeated or "
-                         f"out of (d1, d2) order")
+    _require(name, ahead, lambda r: f"cell ({d1[r + 1]}, {d2[r + 1]}) is "
+                                    f"repeated or out of (d1, d2) order")
     return EdgeDegreeMatrix(d1=d1, d2=d2, x=x)

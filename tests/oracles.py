@@ -1,9 +1,9 @@
 """Reference implementations that the tests check the library against.
 
 They are slow, direct transcriptions of the definitions: the exact
-per-step attachment law of the chain, the ordered (both orientations)
-form of the edge-degree table with its row sums, and the strict two-sided
-edge tail evaluated cell by cell.
+per-step attachment law of the chain, the chain's sampler run one step at
+a time, the ordered (both orientations) form of the edge-degree table with
+its row sums, and the strict two-sided edge tail evaluated cell by cell.
 """
 
 from collections import Counter
@@ -50,6 +50,27 @@ def attachment_distribution(state: AttachmentState, a):
     probs = [(state.degrees[s] + a - 1) / denom for s in range(t - 1)]
     probs.append(a / denom)
     return probs
+
+
+def chain_targets(r, q, a, prefix=()):
+    """Targets of the chain, one step per (r, q) pair, after ``prefix``.
+
+    Step s draws from the uniform urn (weight a per vertex, s+1 vertices)
+    when r * ((a+1)(s+1) - 1) < (s+1) a and takes index int(q (s+1)),
+    else copies the target of step int(q s); both indices are clipped to
+    their urn.  Step 0 is the forced loop.
+    """
+    targets = list(prefix)
+    for rk, qk in zip(np.asarray(r).tolist(), np.asarray(q).tolist()):
+        s = len(targets)
+        t = s + 1.0
+        if s == 0:
+            targets.append(0)
+        elif rk * ((a + 1.0) * t - 1.0) < t * a:
+            targets.append(min(int(qk * t), s))
+        else:
+            targets.append(targets[min(int(qk * s), s - 1)])
+    return targets
 
 
 def ordered_cells(mat) -> dict:

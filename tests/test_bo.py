@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import AttachmentState, attachment_distribution
-from pagl import _kernels
+from oracles import AttachmentState, attachment_distribution, chain_targets
+from pagl import buckley_osthus
 from pagl.buckley_osthus import (
     BOParams,
+    _resolve_block,
     generate_bo,
     generate_bo_chain,
     generate_bo_samples,
@@ -75,19 +77,61 @@ class TestChain:
         assert hits / 200_000 == pytest.approx(2 / 3, abs=0.005)
 
     def test_kernel_variants_identical(self):
+        # the block resolver against the step-by-step sampler, same draws
         rng = np.random.default_rng(11)
         n = 5000
         r, q = rng.random(n), rng.random(n)
-        t_active = np.empty(n, dtype=np.int32)
-        t_py = np.empty(n, dtype=np.int32)
-        _kernels.chain_step(t_active, 0, r, q, 0.4)
-        _kernels.chain_step_py(t_py, 0, r, q, 0.4)
-        assert (t_active == t_py).all()
+        expected = chain_targets(r, q, 0.4)
+        targets = np.empty(n, dtype=np.int32)
+        _resolve_block(targets, 0, r, q, 0.4)
+        assert targets.tolist() == expected
 
-    def test_python_kernel_full_path(self, monkeypatch):
-        compiled = generate_bo_chain(0.8, 3000, seed=5)
-        monkeypatch.setattr(_kernels, "chain_step", _kernels.chain_step_py)
-        assert generate_bo_chain(0.8, 3000, seed=5) == compiled
+    def test_python_kernel_full_path(self):
+        # generate_bo_chain draws r then q from the seeded stream
+        rng = np.random.default_rng(5)
+        r, q = rng.random(3000), rng.random(3000)
+        expected = Graph(3000, list(enumerate(chain_targets(r, q, 0.8))))
+        assert generate_bo_chain(0.8, 3000, seed=5) == expected
+
+    def test_blocks_draw_r_then_q_each(self, monkeypatch):
+        monkeypatch.setattr(buckley_osthus, "_BLOCK", 97)
+        rng = np.random.default_rng(8)
+        targets = []
+        while len(targets) < 1000:
+            length = min(97, 1000 - len(targets))
+            r, q = rng.random(length), rng.random(length)
+            targets = chain_targets(r, q, 0.3, targets)
+        chain = generate_bo_chain(0.3, 1000, seed=8)
+        assert chain.edges[:, 1].tolist() == targets
+
+    @settings(max_examples=150, deadline=None)
+    @example(a=1e-9, n=40, cuts=[], seed=0, top_r=[0], top_q=[])
+    @example(a=1e-9, n=40, cuts=[0.5], seed=1, top_r=[0, 20], top_q=[])
+    @given(
+        a=st.one_of(st.sampled_from([1e-9, 1e-3, 50.0]),
+                    st.floats(1e-6, 50.0)),
+        n=st.integers(1, 3000),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        top_r=st.lists(st.integers(0, 2999), max_size=20),
+        top_q=st.lists(st.integers(0, 2999), max_size=20),
+    )
+    def test_resolver_matches_sequential_oracle(self, a, n, cuts, seed,
+                                                top_r, top_q):
+        # tiny a makes nearly every step a copy, so pointer chains are as
+        # deep as they get; r just below 1 picks the copy urn even at step 0
+        # for tiny a, where only the forced loop saves it; q just below 1
+        # takes the top index of either urn, where the clip sits
+        rng = np.random.default_rng(seed)
+        r, q = rng.random(n), rng.random(n)
+        r[[k for k in top_r if k < n]] = np.nextafter(1.0, 0.0)
+        q[[k for k in top_q if k < n]] = np.nextafter(1.0, 0.0)
+        expected = chain_targets(r, q, a)
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        targets = np.full(n, -7, dtype=np.int32)
+        for lo, hi in zip(bounds, bounds[1:]):
+            _resolve_block(targets, lo, r[lo:hi], q[lo:hi], a)
+        assert targets.tolist() == expected
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pagl.graphs import (
     Graph,
@@ -143,6 +145,14 @@ class TestMultiplicities:
     def test_single_edge(self):
         rep = count_multiplicities(Graph(2, [(0, 1)]))
         assert rep == MultiplicityReport(loops=0, multi_edges=0, total_edges=1)
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=40))
+    def test_brute_force(self, edges):
+        pairs = Counter(frozenset(e) for e in edges if e[0] != e[1])
+        rep = count_multiplicities(Graph(6, edges))
+        assert rep.loops == sum(u == v for u, v in edges)
+        assert rep.multi_edges == sum(pairs.values()) - len(pairs)
+        assert rep.total_edges == len(edges)
 
     def test_edge_count_identity(self):
         rng = np.random.default_rng(5)

@@ -123,6 +123,20 @@ class TestReaderRejects:
         with pytest.raises(ValueError, match="repeated or out of"):
             load_xcells_tsv(io.StringIO("\n".join([rows[0], *body]) + "\n"))
 
+    @given(degree_counts.filter(lambda t: len(t) >= 2), st.data())
+    def test_degrees_repeated_or_unsorted_rows(self, counts, data):
+        h = DegreeHistogram(counts, sum(counts.values()))
+        rows = text_of(write_degrees_tsv, h).splitlines()
+        body = rows[1:]
+        i = data.draw(st.integers(0, len(body) - 1))
+        j = data.draw(st.integers(0, len(body) - 1).filter(lambda v: v != i))
+        if data.draw(st.booleans()):
+            body[j] = body[i]  # a repeated degree
+        else:
+            body[i], body[j] = body[j], body[i]  # two degrees out of order
+        with pytest.raises(ValueError, match="repeated or out of order"):
+            load_degrees_tsv(io.StringIO("\n".join([rows[0], *body]) + "\n"))
+
     def test_line_number_of_malformed_row(self):
         text = "d\tdnn\n1\t2.0\n\n3\n"
         with pytest.raises(ValueError, match=r"<stream>:4: malformed row '3'"):
@@ -146,6 +160,11 @@ def tables(tmp_path_factory):
 
 def fit_edges_table(root, edges):
     return run("fit", "--degrees", root / "A.degrees.tsv", "--edges", edges,
+               "--d1-lo", 3, "--d1-hi", 60, "--out-prefix", root / "F")
+
+
+def fit_degrees_table(root, degrees):
+    return run("fit", "--degrees", degrees, "--edges", root / "A.edges.tsv",
                "--d1-lo", 3, "--d1-hi", 60, "--out-prefix", root / "F")
 
 
@@ -189,6 +208,21 @@ XCELLS_CASES = {
 }
 
 
+# each case breaks one rule, and the message says which
+DEGREES_CASES = {
+    "repeated row": (lambda ls: ls.insert(2, ls[2]), "repeated or out of order"),
+    "unsorted rows": (lambda ls: ls.__setitem__(slice(1, 3), ls[2:0:-1]),
+                      "repeated or out of order"),
+    "negative degree": (lambda ls: set_field(ls, 1, 0, "-1"), "bad row"),
+    "count below 1": (lambda ls: set_field(ls, 1, 1, "0"), "bad row"),
+    "cumulative off by one": (
+        lambda ls: set_field(ls, 2, 2, str(int(ls[2].split("\t")[2]) + 1)),
+        "is not the tail count"),
+    "non-integer cumulative": (lambda ls: set_field(ls, 2, 2, "1.5"),
+                               "could not convert"),
+}
+
+
 def mutated(root, name, case, tag):
     lines = (root / name).read_text().splitlines()
     case(lines)
@@ -200,6 +234,7 @@ def mutated(root, name, case, tag):
 class TestCliRejectsBadTables:
     def test_unchanged_tables_pass(self, tables):
         assert fit_edges_table(tables, tables / "A.edges.tsv") == 0
+        assert fit_degrees_table(tables, tables / "A.degrees.tsv") == 0
         assert bootstrap_xcells_table(tables, tables / "A.xcells.tsv") == 0
 
     @pytest.mark.parametrize("case", sorted(EDGES_CASES))
@@ -208,6 +243,14 @@ class TestCliRejectsBadTables:
         assert fit_edges_table(tables, path) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(DEGREES_CASES))
+    def test_degrees_table(self, tables, case, capsys):
+        change, message = DEGREES_CASES[case]
+        path = mutated(tables, "A.degrees.tsv", change, case.replace(" ", "_"))
+        assert fit_degrees_table(tables, path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("case", sorted(XCELLS_CASES))
     def test_xcells_table(self, tables, case, capsys):

@@ -195,6 +195,14 @@ class TestMultiplicityScaling:
         assert rep.multi_fractions[-1] < rep.multi_fractions[0]
         assert rep.loop_fractions[-1] < rep.loop_fractions[0]
 
+    def test_thread_invariant(self):
+        args = (6, [300, 1200, 5000])
+        one = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2, threads=1)
+        two = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2, threads=2)
+        for name in ("mean_loops", "mean_multi", "loop_fractions", "multi_fractions"):
+            assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
+        assert (one.multi_slope, one.loops_slope) == (two.multi_slope, two.loops_slope)
+
     def test_requires_a_below_one(self):
         with pytest.raises(ValueError):
             multiplicity_scaling_report(2, [100, 200], a=1.5, m=1)
