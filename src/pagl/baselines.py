@@ -9,11 +9,11 @@ every other model.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .buckley_osthus import MAX_CHAIN
 from .graphs import Graph
 
@@ -26,7 +26,7 @@ __all__ = [
     "generate_holme_kim",
 ]
 
-_HK_BLOCK = 1 << 20
+_HK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,51 +157,67 @@ def generate_configuration(degrees, seed) -> Graph:
     return Graph(degrees.shape[0], edges)
 
 
+def _uniforms(rng):
+    """The generator's uniforms in stream order, drawn _HK_BLOCK at a time."""
+    while True:
+        yield from rng.random(_HK_BLOCK).tolist()
+
+
 def generate_holme_kim(params: HKParams) -> Graph:
     """Grow the triad-formation graph from a complete seed on m+1 vertices.
 
-    Output is simple by construction, with exactly
-    m*(n-m-1) + m*(m+1)/2 edges.  Deterministic given the seed, with or
-    without numba (see _kernels.hk_place for the buffering protocol).
+    Per new vertex v, m distinct targets are chosen: the first by a
+    degree-preferential draw (uniform index into the endpoint list ``ep``),
+    each later one with probability p_t by a triad step (a uniformly drawn
+    neighbour of the previous target not yet chosen, realized by rejection
+    with at most 64*m + 64 attempts) and otherwise preferentially.  A
+    candidate already chosen this round is redrawn; v itself cannot come
+    up, since its edges are committed only after all m targets are known.
+
+    Every draw (triad coin, neighbour index, endpoint index) reads the next
+    uniform of one seeded stream, taken in blocks of ``_HK_BLOCK``; numpy
+    block draws concatenate to the same stream, so the graph does not
+    depend on the block size.  An index int(x*d) needs no clip: for a
+    double x < 1 and d <= 2**53 the rounded product stays below d.
+    Neighbours are listed in insertion order.  Output is simple by
+    construction, with exactly m*(n-m-1) + m*(m+1)/2 edges.
     """
-    n, m = params.n, params.m
+    n, m, p_t = params.n, params.m, float(params.p_t)
     n0 = m + 1
-    e0 = m * n0 // 2
-    num_edges = e0 + m * (n - n0)
+    draw = _uniforms(np.random.default_rng(params.seed)).__next__
+    ep = array("i")
+    nbrs = [array("i") for _ in range(n)]
 
-    edges = np.empty((num_edges, 2), dtype=np.int64)
-    ep = np.empty(2 * num_edges, dtype=np.int32)
-    deg = np.zeros(n, dtype=np.int32)
-    head = np.full(n, -1, dtype=np.int32)
-    tail = np.full(n, -1, dtype=np.int32)
-    nxt = np.full(2 * num_edges, -1, dtype=np.int32)
-    adst = np.empty(2 * num_edges, dtype=np.int32)
-    pending = np.empty(m, dtype=np.int32)
+    def link(v, u):
+        ep.append(v)
+        ep.append(u)
+        nbrs[v].append(u)
+        nbrs[u].append(v)
 
-    su, sv = np.triu_indices(n0, k=1)
-    edges[:e0, 0] = su
-    edges[:e0, 1] = sv
-    ep[: 2 * e0] = edges[:e0].ravel()
-    deg[:n0] = m
-    for k in range(e0):
-        for x, y, slot in ((su[k], sv[k], 2 * k), (sv[k], su[k], 2 * k + 1)):
-            adst[slot] = y
-            if head[x] < 0:
-                head[x] = slot
-            else:
-                nxt[tail[x]] = slot
-            tail[x] = slot
-
-    rng = np.random.default_rng(params.seed)
-    buf = rng.random(_HK_BLOCK)
-    v, ec = n0, e0
-    while v < n:
-        v, consumed, ec = _kernels.hk_place(
-            edges, ep, deg, head, tail, nxt, adst,
-            pending, v, n, m, float(params.p_t), buf, ec,
-        )
-        if v < n:
-            # out of draws mid-vertex: keep the unread tail, append a
-            # fresh block, and re-enter at the same vertex
-            buf = np.concatenate([buf[consumed:], rng.random(_HK_BLOCK)])
+    for v in range(n0):
+        for u in range(v + 1, n0):
+            link(v, u)
+    tries = 64 * m + 64
+    for v in range(n0, n):
+        pending = []
+        for k in range(m):
+            u = -1
+            if k > 0 and draw() < p_t:
+                adj = nbrs[pending[-1]]
+                d = len(adj)
+                for _ in range(tries):
+                    w = adj[int(draw() * d)]
+                    if w not in pending:
+                        u = w
+                        break
+            if u < 0:
+                e = len(ep)
+                while True:
+                    u = ep[int(draw() * e)]
+                    if u not in pending:
+                        break
+            pending.append(u)
+        for u in pending:
+            link(v, u)
+    edges = np.frombuffer(ep, dtype=np.int32).reshape(-1, 2).astype(np.int64)
     return Graph(n, edges)

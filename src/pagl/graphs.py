@@ -129,10 +129,6 @@ class SimpleGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def adjacency(self) -> dict:
-        """Neighbor lists as a dict, mainly for tests and small graphs."""
-        return {v: self.neighbors(v).tolist() for v in range(self.n)}
-
     def __eq__(self, other):
         if not isinstance(other, SimpleGraph):
             return NotImplemented

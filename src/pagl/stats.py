@@ -50,11 +50,6 @@ class DegreeHistogram:
     def isolated(self) -> int:
         return self.n_vertices - sum(self.counts.values())
 
-    def as_dict(self) -> dict:
-        out = {0: self.isolated} if self.isolated else {}
-        out.update(sorted(self.counts.items()))
-        return out
-
     def arrays(self):
         """Sorted positive degrees and their counts as int64 arrays."""
         if not self.counts:
@@ -91,12 +86,6 @@ class EdgeDegreeMatrix:
     d1: np.ndarray
     d2: np.ndarray
     x: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            (int(a), int(b)): int(w)
-            for a, b, w in zip(self.d1, self.d2, self.x)
-        }
 
     def ordered_weight(self) -> np.ndarray:
         """Per-cell factor of the symmetric convention: 2 on the diagonal,
@@ -137,12 +126,6 @@ class TailCounts:
     def at(self, d):
         idx = np.searchsorted(self.degrees, np.asarray(d), side="right")
         return self.suffix[idx]
-
-    def as_dict(self) -> dict:
-        out = {0: int(self.at(0))}
-        for d in self.degrees.tolist():
-            out[int(d)] = int(self.at(d))
-        return out
 
 
 def cumulative_degree(h: DegreeHistogram) -> TailCounts:
@@ -276,9 +259,6 @@ class NeighborDegreeProfile:
 
     d: np.ndarray
     dnn: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {int(a): float(b) for a, b in zip(self.d, self.dnn)}
 
 
 def d_nn_profile(x: EdgeDegreeMatrix) -> NeighborDegreeProfile:

@@ -186,8 +186,17 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
 
 
 def load_dnn_tsv(source) -> NeighborDegreeProfile:
-    """Rebuild the neighbor-degree profile from an analyze dnn table."""
-    _, (d, dnn) = _read_table(source, DNN_HEADER, "if")
+    """Rebuild the neighbor-degree profile from an analyze dnn table.
+
+    Rows must be degrees d >= 1 in strictly increasing order, each with a
+    finite mean neighbor degree dnn >= 1, as the writer leaves them.
+    """
+    name, (d, dnn) = _read_table(source, DNN_HEADER, "if")
+    _require(name, d >= 1, lambda r: f"bad degree {d[r]}")
+    _require(name, d[1:] > d[:-1],
+             lambda r: f"degree {d[r + 1]} is repeated or out of order")
+    _require(name, np.isfinite(dnn) & (dnn >= 1),
+             lambda r: f"bad dnn {dnn[r]} at degree {d[r]}")
     return NeighborDegreeProfile(d, dnn)
 
 

@@ -147,7 +147,8 @@ class MultiplicityScalingReport:
     """Monte-Carlo scaling of loop and excess-edge counts across sizes n.
 
     ``multi_slope`` is the log-log regression slope of the mean excess
-    count against n (expected near 1-a); ``loops_slope`` regresses the
+    count against n: the model gives (1-a)/(1+a), about 0.34 at a = 0.5,
+    while n**(1-a) is only an upper bound.  ``loops_slope`` regresses the
     mean loop count linearly on ln n.  Fractions are normalized by the
     edge count m*n.
     """

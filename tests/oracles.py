@@ -2,8 +2,10 @@
 
 They are slow, direct transcriptions of the definitions: the exact
 per-step attachment law of the chain, the chain's sampler run one step at
-a time, the ordered (both orientations) form of the edge-degree table with
-its row sums, and the strict two-sided edge tail evaluated cell by cell.
+a time, the Holme-Kim generator run one draw at a time, the ordered (both
+orientations) form of the edge-degree table with its row sums, and the
+strict two-sided edge tail evaluated cell by cell.  Dict views of the
+library's tables and graphs serve the small-case assertions.
 """
 
 from collections import Counter
@@ -73,11 +75,77 @@ def chain_targets(r, q, a, prefix=()):
     return targets
 
 
+def holme_kim_edges(n, m, p_t, seed):
+    """Holme-Kim edges as an (E, 2) int64 array, one ``rng.random()`` per draw.
+
+    The seed graph is complete on vertices 0..m.  Each later vertex v picks
+    m distinct earlier vertices: the first from a uniformly drawn endpoint
+    of the edge list, each later one, when a coin falls below p_t, from a
+    uniformly drawn neighbour of the previous pick (at most 64*m + 64
+    attempts), else like the first.  A vertex already picked is redrawn.
+    Neighbours are listed in the order their edges were added.
+    """
+    rng = np.random.default_rng(seed)
+    edges = [(u, w) for u in range(m + 1) for w in range(u + 1, m + 1)]
+    nbrs = [[] for _ in range(n)]
+    for u, w in edges:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    for v in range(m + 1, n):
+        picks = []
+        for k in range(m):
+            pick = None
+            if k > 0 and rng.random() < p_t:
+                adj = nbrs[picks[-1]]
+                for _ in range(64 * m + 64):
+                    w = adj[int(rng.random() * len(adj))]
+                    if w not in picks:
+                        pick = w
+                        break
+            while pick is None:
+                e, side = divmod(int(rng.random() * 2 * len(edges)), 2)
+                if edges[e][side] not in picks:
+                    pick = edges[e][side]
+            picks.append(pick)
+        for u in picks:
+            edges.append((v, u))
+            nbrs[v].append(u)
+            nbrs[u].append(v)
+    return np.array(edges, dtype=np.int64)
+
+
+def histogram_dict(h) -> dict:
+    """Vertex count by degree, with a 0 entry only if some are isolated."""
+    out = {0: h.isolated} if h.isolated else {}
+    out.update(sorted(h.counts.items()))
+    return out
+
+
+def tails_dict(t) -> dict:
+    """Strict tail count at 0 and at every degree of the evaluator."""
+    return {0: int(t.at(0)), **{d: int(t.at(d)) for d in t.degrees.tolist()}}
+
+
+def cells_dict(mat) -> dict:
+    """The unordered edge-degree table as {(d1, d2): x}."""
+    return {(int(a), int(b)): int(w) for a, b, w in zip(mat.d1, mat.d2, mat.x)}
+
+
+def dnn_dict(prof) -> dict:
+    """The neighbor-degree profile as {d: d_nn(d)}."""
+    return {int(a): float(b) for a, b in zip(prof.d, prof.dnn)}
+
+
+def adjacency(s) -> dict:
+    """Neighbor lists of a simple graph as {v: [sorted neighbors]}."""
+    return {v: s.neighbors(v).tolist() for v in range(s.n)}
+
+
 def ordered_cells(mat) -> dict:
     """X(d1, d2) over ordered pairs: both orientations of every cell, and
     an edge joining two degree-d vertices counted twice in X(d, d)."""
     out = {}
-    for (a, b), w in mat.as_dict().items():
+    for (a, b), w in cells_dict(mat).items():
         if a == b:
             out[(a, a)] = 2 * w
         else:

@@ -22,7 +22,13 @@ from pagl.baselines import (
     generate_holme_kim,
     sample_power_law_degrees,
 )
-from oracles import AttachmentState, attachment_distribution, cumulative_edges
+from oracles import (
+    AttachmentState,
+    attachment_distribution,
+    cells_dict,
+    cumulative_edges,
+    dnn_dict,
+)
 from pagl.buckley_osthus import (
     BOParams,
     generate_bo,
@@ -299,10 +305,10 @@ def test_criterion_09_identities_on_random_small_graphs():
         mat = edge_degree_matrix(s)
         tails = cumulative_degree(hist)
         xt = cumulative_edges(mat)
-        prof = d_nn_profile(mat).as_dict()
+        prof = dnn_dict(d_nn_profile(mat))
 
         deg, ncounts, xcounts, ucounts = brute_tables(n, edges.tolist())
-        bad = mat.as_dict() != dict(ucounts)
+        bad = cells_dict(mat) != dict(ucounts)
         for d1 in set(deg):
             if d1 == 0:
                 continue

@@ -1,9 +1,12 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pagl import _kernels
+import pagl.baselines as bl
+from oracles import holme_kim_edges
 from pagl.baselines import (
     GDSParams,
     HKParams,
@@ -128,16 +131,29 @@ class TestHolmeKim:
         hi = triangles(generate_holme_kim(HKParams(n=1500, m=3, p_t=0.9, seed=1)))
         assert hi > 2.0 * lo
 
-    def test_python_kernel_and_small_buffer(self, monkeypatch):
-        import pagl.baselines as bl
+    @settings(deadline=None)
+    @given(st.integers(1, 8).flatmap(
+               lambda m: st.tuples(st.integers(m + 1, 400), st.just(m))),
+           st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+           st.integers(0, 2**128))
+    @example((2, 1), 0.0, 0)
+    @example((400, 8), 1.0, 3)
+    def test_matches_one_draw_oracle(self, nm, p_t, seed):
+        n, m = nm
+        expected = holme_kim_edges(n, m, p_t, seed)
+        p = HKParams(n=n, m=m, p_t=p_t, seed=seed)
+        assert np.array_equal(generate_holme_kim(p).edges, expected)
+        # uniforms are read in stream order, so a block of 17 that runs
+        # out mid-vertex gives the same graph
+        with mock.patch.object(bl, "_HK_BLOCK", 17):
+            assert np.array_equal(generate_holme_kim(p).edges, expected)
 
-        p = HKParams(n=800, m=5, p_t=0.6, seed=3)
-        compiled = generate_holme_kim(p)
-        # the refill protocol keeps the consumed stream independent of the
-        # buffer size, so a tiny python-kernel run must match exactly
-        monkeypatch.setattr(_kernels, "hk_place", _kernels.hk_place_py)
-        monkeypatch.setattr(bl, "_HK_BLOCK", 17)
-        assert generate_holme_kim(p) == compiled
+    @given(st.integers(1, 2**53))
+    @example(2**31 - 1)
+    @example(2**53)
+    def test_index_needs_no_clip(self, d):
+        # int(x * d) < d for the largest double x below 1, hence for all x
+        assert int(np.nextafter(1.0, 0.0) * d) < d
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import adjacency
 from pagl.graphs import (
     Graph,
     GraphFormatError,
@@ -117,11 +118,11 @@ class TestSimplify:
     def test_loop_removed_duplicate_merged(self):
         g = Graph(3, [(0, 0), (0, 1), (1, 0), (1, 2)])
         s = simplify(g)
-        assert s.adjacency() == {0: [1], 1: [0, 2], 2: [1]}
+        assert adjacency(s) == {0: [1], 1: [0, 2], 2: [1]}
 
     def test_empty_graph(self):
         s = simplify(Graph(2, []))
-        assert s.adjacency() == {0: [], 1: []}
+        assert adjacency(s) == {0: [], 1: []}
         assert s.num_edges == 0
 
     def test_idempotent(self):

@@ -3,7 +3,15 @@ import io
 import numpy as np
 import pytest
 
-from oracles import cumulative_edges, ordered_cells, row_sums
+from oracles import (
+    cells_dict,
+    cumulative_edges,
+    dnn_dict,
+    histogram_dict,
+    ordered_cells,
+    row_sums,
+    tails_dict,
+)
 from pagl.graphs import Graph, simplify
 from pagl.stats import (
     cumulative_degree,
@@ -29,12 +37,12 @@ def random_simple(seed, n=40, rows=250):
 class TestHistogram:
     def test_path(self):
         h = degree_histogram(path3())
-        assert h.as_dict() == {1: 2, 2: 1}
+        assert histogram_dict(h) == {1: 2, 2: 1}
         assert h.n_vertices == 3 and h.isolated == 0
 
     def test_isolated_bucket(self):
         h = histogram_from_degrees([0, 0, 0])
-        assert h.as_dict() == {0: 3}
+        assert histogram_dict(h) == {0: 3}
         assert h.counts == {}
 
     def test_rejects_negative(self):
@@ -43,21 +51,21 @@ class TestHistogram:
 
     def test_tail_counts(self):
         t = cumulative_degree(degree_histogram(path3()))
-        assert t.as_dict() == {0: 3, 1: 1, 2: 0}
+        assert tails_dict(t) == {0: 3, 1: 1, 2: 0}
         assert t.at([0, 1, 2, 99]).tolist() == [3, 1, 0, 0]
 
 
 class TestEdgeDegreeMatrix:
     def test_path_cells(self):
         x = edge_degree_matrix(path3())
-        assert x.as_dict() == {(2, 1): 2}
+        assert cells_dict(x) == {(2, 1): 2}
         assert ordered_cells(x) == {(1, 2): 2, (2, 1): 2}
 
     def test_diagonal_doubled(self):
         # single edge between two degree-1 vertices lands on the diagonal:
         # one edge in the table, weight 2 in the symmetric convention
         x = edge_degree_matrix(simplify(Graph(2, [(0, 1)])))
-        assert x.as_dict() == {(1, 1): 1}
+        assert cells_dict(x) == {(1, 1): 1}
         assert x.ordered_weight().tolist() == [2]
         assert ordered_cells(x) == {(1, 1): 2}
         assert x.total_edges == 1
@@ -72,7 +80,7 @@ class TestEdgeDegreeMatrix:
                 if u > v:
                     cell = (max(deg[u], deg[v]), min(deg[u], deg[v]))
                     brute[cell] = brute.get(cell, 0) + 1
-        assert x.as_dict() == brute
+        assert cells_dict(x) == brute
         keys = list(zip(x.d1.tolist(), x.d2.tolist()))
         assert keys == sorted(brute)
 
@@ -80,7 +88,7 @@ class TestEdgeDegreeMatrix:
         # sum_d2 X(d, d2) = d * (#vertices of degree d)
         s = random_simple(0)
         x = edge_degree_matrix(s)
-        h = degree_histogram(s).as_dict()
+        h = histogram_dict(degree_histogram(s))
         vals, sums = row_sums(x)
         for d, total in zip(vals.tolist(), sums.tolist()):
             assert total == d * h[d]
@@ -165,7 +173,7 @@ class TestRhoSurface:
 class TestNeighborDegree:
     def test_path_profile(self):
         p = d_nn_profile(edge_degree_matrix(path3()))
-        assert p.as_dict() == {1: 2.0, 2: 1.0}
+        assert dnn_dict(p) == {1: 2.0, 2: 1.0}
 
     def test_handshake_identity(self):
         # dnn(d) * rowsum(d), summed over d, recovers sum of d2*X cells

@@ -78,7 +78,8 @@ class TestRoundTrip:
             assert getattr(back, name).dtype == np.int64
 
     @given(st.dictionaries(st.integers(1, 10**6),
-                           st.floats(allow_nan=False, allow_infinity=False),
+                           st.floats(min_value=1.0, allow_nan=False,
+                                     allow_infinity=False),
                            max_size=30))
     def test_dnn(self, table):
         d = np.array(sorted(table), np.int64)
@@ -136,6 +137,24 @@ class TestReaderRejects:
             body[i], body[j] = body[j], body[i]  # two degrees out of order
         with pytest.raises(ValueError, match="repeated or out of order"):
             load_degrees_tsv(io.StringIO("\n".join([rows[0], *body]) + "\n"))
+
+    # each dnn table breaks one rule, and the message says which
+    @pytest.mark.parametrize("body, message", [
+        ("0\t2.0\n", "bad degree 0"),
+        ("-3\t2.0\n", "bad degree -3"),
+        ("2\t2.0\n2\t3.0\n", "degree 2 is repeated or out of order"),
+        ("3\t2.0\n2\t3.0\n", "degree 2 is repeated or out of order"),
+        ("1\t2.0\n2\tnan\n", "bad dnn nan at degree 2"),
+        ("1\tinf\n", "bad dnn inf at degree 1"),
+        ("1\t-inf\n", "bad dnn -inf at degree 1"),
+        ("1\t2.0\n4\t0.5\n", "bad dnn 0.5 at degree 4"),
+    ])
+    def test_dnn_values(self, tmp_path, body, message):
+        path = tmp_path / "A.dnn.tsv"
+        path.write_text("d\tdnn\n" + body)
+        with pytest.raises(ValueError) as err:
+            load_dnn_tsv(path)
+        assert str(path) in str(err.value) and message in str(err.value)
 
     def test_line_number_of_malformed_row(self):
         text = "d\tdnn\n1\t2.0\n\n3\n"
