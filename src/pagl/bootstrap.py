@@ -11,13 +11,14 @@ rebuilding the degree tail.
 Resampling is realized as one multinomial draw over the distinct
 categories (degree values, or degree-pair bins), which is exactly
 equivalent in distribution to drawing the items one by one and far
-cheaper.  Iteration i uses the i-th spawned child of the master seed, so
-reports are reproducible and independent of thread count.
+cheaper.  Iterations run one after another, iteration i drawing from the
+i-th spawned child of the master seed, so a report is reproducible and
+the estimates of B iterations are the first B of any longer run with the
+same seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .stats import (
     LogGrid,
     TailCounts,
     _suffix2d,
+    _tail_sums,
     cumulative_degree,
     rho_surface,
 )
@@ -65,14 +67,15 @@ class BootstrapReport:
         return float(np.sqrt(self.sigma_s2))
 
 
-def _run_iterations(one, B, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(one, range(B))), dtype=np.float64)
-    return np.array([one(i) for i in range(B)], dtype=np.float64)
+def _streams(B, seed):
+    """One generator per iteration, from the spawned children of ``seed``."""
+    if B < 1:
+        raise ValueError(f"bootstrap needs at least 1 iteration, got B={B}")
+    return map(np.random.default_rng, np.random.SeedSequence(seed).spawn(B))
 
 
-def _finish(target, original, estimates):
+def _finish(target, original, refits):
+    estimates = np.fromiter(refits, np.float64)
     valid = estimates[~np.isnan(estimates)]
     if valid.size == 0:
         raise DivergenceError(f"all {estimates.size} bootstrap refits diverged")
@@ -89,36 +92,35 @@ def _finish(target, original, estimates):
 
 def bootstrap_vertices(hist: DegreeHistogram, rng: DegreeRange, B: int = 1000,
                        seed: int = 0, threads: int = 1) -> BootstrapReport:
-    """Resample vertices with replacement and refit the degree model B times."""
+    """Resample vertices with replacement and refit the degree model B
+    times, one iteration after another; ``threads`` is ignored."""
+    streams = _streams(B, seed)
     original = fit_degree(cumulative_degree(hist), rng)
     if not original.converged:
         raise DivergenceError("degree fit on the original data did not converge")
-    degrees, counts = hist.arrays()
-    cats = np.append(counts, hist.isolated).astype(np.float64)
     n = hist.n_vertices
-    p = cats / n
-    children = np.random.SeedSequence(seed).spawn(B)
+    # the isolated vertices are the last category
+    p = np.append(hist.counts, hist.isolated) / n
 
-    def one(i):
-        cnt = np.random.default_rng(children[i]).multinomial(n, p)
-        suffix = np.zeros(degrees.size + 1, dtype=np.int64)
-        if degrees.size:
-            suffix[:-1] = cnt[:-1][::-1].cumsum()[::-1]
+    def one(stream):
+        cnt = stream.multinomial(n, p)
         try:
-            refit = fit_degree(TailCounts(degrees, suffix), rng,
-                               initial=(original.a, original.b))
+            refit = fit_degree(TailCounts(hist.degrees, _tail_sums(cnt[:-1])),
+                               rng, initial=(original.a, original.b))
         except ValueError:
             return np.nan
         return refit.a if refit.converged else np.nan
 
-    return _finish("degrees", original, _run_iterations(one, B, threads))
+    return _finish("degrees", original, map(one, streams))
 
 
 def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
                     domain: PairDomain, grid: LogGrid, B: int = 1000,
                     seed: int = 0, threads: int = 1) -> BootstrapReport:
     """Resample the edge degree-pair multiset and refit the edge model B
-    times against the original degree tails."""
+    times against the original degree tails, one iteration after another;
+    ``threads`` is ignored."""
+    streams = _streams(B, seed)
     surface = rho_surface(hist, matrix, grid)
     original = fit_edges(surface, domain)
     if not original.converged:
@@ -143,10 +145,9 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
     j_idx = np.searchsorted(points, domain.d2)
     denom = surface.cum_deg[i_idx].astype(np.float64) * surface.cum_deg[j_idx]
     num_edges = matrix.total_edges
-    children = np.random.SeedSequence(seed).spawn(B)
 
-    def one(it):
-        cnt = np.random.default_rng(children[it]).multinomial(num_edges, p)
+    def one(stream):
+        cnt = stream.multinomial(num_edges, p)
         h = np.bincount(cat_bin, weights=cnt * cat_weight, minlength=size)
         tail = _suffix2d(h.reshape(k + 1, k + 1))[1:, 1:]
         rho = tail[i_idx, j_idx] / denom
@@ -154,4 +155,4 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
                                  initial=(original.a, original.b))
         return refit.a if refit.converged else np.nan
 
-    return _finish("edges", original, _run_iterations(one, B, threads))
+    return _finish("edges", original, map(one, streams))

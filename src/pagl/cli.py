@@ -45,19 +45,6 @@ from .theory import TheoryParams, edge_model_shape_check, \
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _default_threads() -> int:
-    env = os.environ.get("PAGL_THREADS")
-    if env is not None and env.strip():
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"PAGL_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise ValueError(f"PAGL_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
 def _graph_format(path: str, override: str | None) -> str:
     if override:
         return override
@@ -210,13 +197,18 @@ def _resolve_range(args, tails, surface, grid):
     return rng, dom, None, None, False
 
 
-def _build_fit(args):
+def _load_degrees(args):
+    """The degrees table, its strict tails, and the ``--alpha`` grid up to
+    its largest degree."""
     hist = load_degrees_tsv(args.degrees)
-    tails = cumulative_degree(hist)
-    degrees, _ = hist.arrays()
-    if degrees.size == 0:
+    if hist.degrees.size == 0:
         raise ValueError(f"{args.degrees}: no positive-degree vertices")
-    grid = log_grid(args.alpha, int(degrees.max()))
+    grid = log_grid(args.alpha, int(hist.degrees[-1]))
+    return hist, cumulative_degree(hist), grid
+
+
+def _build_fit(args):
+    hist, tails, grid = _load_degrees(args)
     surface = surface_from_tables(hist, args.edges, grid)
     rng, dom, fd, fe, auto = _resolve_range(args, tails, surface, grid)
 
@@ -246,11 +238,11 @@ def _build_fit(args):
     }
 
     inputs = [args.degrees, args.edges]
-    if args.bootstrap:
+    if args.bootstrap is not None:
         boot = {}
         if fd is not None and fd.converged:
             rep = bootstrap_vertices(hist, rng, B=args.bootstrap,
-                                     seed=args.seed, threads=args.threads)
+                                     seed=args.seed)
             boot["degrees"] = {"sigma_s2": float(rep.sigma_s2),
                                "iterations": rep.iterations,
                                "diverged": rep.diverged}
@@ -263,7 +255,7 @@ def _build_fit(args):
             matrix = load_xcells_tsv(args.xcells)
             inputs.append(args.xcells)
             rep = bootstrap_edges(hist, matrix, dom, grid, B=args.bootstrap,
-                                  seed=args.seed, threads=args.threads)
+                                  seed=args.seed)
             boot["edges"] = {"sigma_s2": float(rep.sigma_s2),
                              "iterations": rep.iterations,
                              "diverged": rep.diverged}
@@ -290,12 +282,7 @@ def _build_fit(args):
 # bootstrap
 
 def _build_bootstrap(args):
-    hist = load_degrees_tsv(args.degrees)
-    tails = cumulative_degree(hist)
-    degrees, _ = hist.arrays()
-    if degrees.size == 0:
-        raise ValueError(f"{args.degrees}: no positive-degree vertices")
-    grid = log_grid(args.alpha, int(degrees.max()))
+    hist, tails, grid = _load_degrees(args)
     inputs = [args.degrees]
 
     if args.auto_range:
@@ -308,15 +295,14 @@ def _build_bootstrap(args):
     rng, dom, _fd, _fe, auto = _resolve_range(args, tails, surface, grid)
 
     if args.target == "degrees":
-        rep = bootstrap_vertices(hist, rng, B=args.iterations,
-                                 seed=args.seed, threads=args.threads)
+        rep = bootstrap_vertices(hist, rng, B=args.iterations, seed=args.seed)
     else:
         if not args.xcells:
             raise ValueError("--target edges needs --xcells")
         matrix = load_xcells_tsv(args.xcells)
         inputs.append(args.xcells)
         rep = bootstrap_edges(hist, matrix, dom, grid, B=args.iterations,
-                              seed=args.seed, threads=args.threads)
+                              seed=args.seed)
 
     table = format_rows(
         "iteration\testimate", [*range(rep.iterations), "sigma_s2"],
@@ -409,6 +395,8 @@ def _build_theory_rho_shape(args):
 
 def _build_theory_multiplicity(args):
     n_list = _parse_int_list(args.n_list, "--n-list")
+    if len(n_list) < 2:
+        raise ValueError("--n-list needs at least 2 sizes to fit a slope")
     report = multiplicity_scaling_report(
         args.samples, n_list, args.a, args.m,
         seed=args.seed, threads=args.threads)
@@ -439,9 +427,16 @@ def _build_theory_multiplicity(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub, out_flag):
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: PAGL_THREADS or cores)")
+    sub.add_argument("--threads", type=_positive_int,
+                     default=os.cpu_count() or 1,
+                     help="threads for theory multiplicity (default: cores)")
     sub.add_argument("--verify", action="store_true",
                      help="re-derive outputs and byte-compare them")
     if out_flag == "out":
@@ -504,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--xcells", default=None,
                      help="analyze xcells TSV (edge bootstrap input)")
     _add_range_flags(fit)
-    fit.add_argument("--bootstrap", type=int, default=None, metavar="B",
+    fit.add_argument("--bootstrap", type=_positive_int, metavar="B",
                      help="also estimate bootstrap errors with B iterations")
     fit.add_argument("--seed", type=int, default=0)
     _add_common(fit, "out_prefix")
@@ -519,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     boot.add_argument("--xcells", default=None,
                       help="needed with --target edges")
     _add_range_flags(boot)
-    boot.add_argument("--iterations", type=int, default=1000)
+    boot.add_argument("--iterations", type=_positive_int, default=1000)
     boot.add_argument("--seed", type=int, default=0)
     _add_common(boot, "out_prefix")
     boot.set_defaults(func=_build_bootstrap)
@@ -556,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     tmult.add_argument("--m", type=int, required=True)
     tmult.add_argument("--n-list", required=True,
                        help="comma-separated sample sizes")
-    tmult.add_argument("--samples", type=int, default=20)
+    tmult.add_argument("--samples", type=_positive_int, default=20)
     tmult.add_argument("--seed", type=int, default=0)
     _add_common(tmult, "out_prefix")
     tmult.set_defaults(func=_build_theory_multiplicity)
@@ -591,10 +586,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.time()
     try:
-        if args.threads is None:
-            args.threads = _default_threads()
-        elif args.threads < 1:
-            raise ValueError("--threads must be >= 1")
         build = args.func
         payloads, seeds, params, inputs, deferred = build(args)
         _write_payloads(payloads)

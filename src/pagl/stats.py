@@ -36,33 +36,29 @@ __all__ = [
 
 @dataclass
 class DegreeHistogram:
-    """Sparse vertex counts by degree; isolated vertices sit in a 0 bucket.
+    """Vertex counts by degree; isolated vertices are counted apart.
 
-    ``counts`` maps d >= 1 to the number of degree-d vertices;
-    ``n_vertices`` includes isolated vertices, so the 0 bucket is
-    ``n_vertices - sum(counts.values())``.
+    ``degrees`` holds the observed degrees d >= 1 in increasing order and
+    ``counts`` the number of vertices of each (all >= 1), both int64;
+    ``n_vertices`` includes isolated vertices, so ``isolated`` is
+    ``n_vertices - counts.sum()``.
     """
 
-    counts: dict
+    degrees: np.ndarray
+    counts: np.ndarray
     n_vertices: int
 
     @property
     def isolated(self) -> int:
-        return self.n_vertices - sum(self.counts.values())
+        return self.n_vertices - int(self.counts.sum())
 
     def arrays(self):
-        """Sorted positive degrees and their counts as int64 arrays."""
-        if not self.counts:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        d = np.fromiter(self.counts.keys(), np.int64, len(self.counts))
-        c = np.fromiter(self.counts.values(), np.int64, len(self.counts))
-        order = np.argsort(d)
-        return d[order], c[order]
+        """The sorted positive degrees and their counts."""
+        return self.degrees, self.counts
 
 
 def degree_histogram(g: SimpleGraph) -> DegreeHistogram:
-    deg = g.degrees()
-    return histogram_from_degrees(deg)
+    return histogram_from_degrees(g.degrees())
 
 
 def histogram_from_degrees(degrees) -> DegreeHistogram:
@@ -70,9 +66,8 @@ def histogram_from_degrees(degrees) -> DegreeHistogram:
     deg = np.asarray(degrees, dtype=np.int64)
     if deg.size and deg.min() < 0:
         raise ValueError("degrees must be non-negative")
-    pos = deg[deg > 0]
-    vals, cnts = np.unique(pos, return_counts=True)
-    return DegreeHistogram(dict(zip(vals.tolist(), cnts.tolist())), int(deg.size))
+    vals, cnts = np.unique(deg[deg > 0], return_counts=True)
+    return DegreeHistogram(vals, cnts, int(deg.size))
 
 
 @dataclass
@@ -128,11 +123,16 @@ class TailCounts:
         return self.suffix[idx]
 
 
+def _tail_sums(counts: np.ndarray) -> np.ndarray:
+    """``out[i] = counts[i:].sum()``, then a final 0: over sorted degrees,
+    the count of degree >= degrees[i], so ``out[i + 1]`` is the strict tail."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    out[:-1] = counts[::-1].cumsum()[::-1]
+    return out
+
+
 def cumulative_degree(h: DegreeHistogram) -> TailCounts:
-    d, c = h.arrays()
-    suffix = np.zeros(d.size + 1, dtype=np.int64)
-    suffix[:-1] = c[::-1].cumsum()[::-1]
-    return TailCounts(d, suffix)
+    return TailCounts(h.degrees, _tail_sums(h.counts))
 
 
 # ---------------------------------------------------------------------------

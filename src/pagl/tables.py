@@ -23,7 +23,8 @@ import numpy as np
 
 from .graphs import _open_stream
 from .stats import DegreeHistogram, EdgeDegreeMatrix, LogGrid, \
-    NeighborDegreeProfile, RhoSurface, _grid_index, cumulative_degree
+    NeighborDegreeProfile, RhoSurface, _grid_index, _tail_sums, \
+    cumulative_degree
 
 __all__ = [
     "format_rows",
@@ -74,7 +75,7 @@ def _write(sink, text: str) -> None:
 def write_degrees_tsv(h: DegreeHistogram, sink) -> None:
     """Rows ``d<TAB>count<TAB>cumulative`` over observed degrees (0 bucket
     included when present); cumulative is the strict tail count."""
-    d, c = h.arrays()
+    d, c = h.degrees, h.counts
     if h.isolated:
         d, c = np.append(0, d), np.append(h.isolated, c)
     _write(sink, format_rows(DEGREES_HEADER, d, c, cumulative_degree(h).at(d)))
@@ -149,13 +150,12 @@ def load_degrees_tsv(source) -> DegreeHistogram:
              lambda r: f"bad row (degree {d[r]}, count {c[r]})")
     _require(name, d[1:] > d[:-1],
              lambda r: f"degree {d[r + 1]} is repeated or out of order")
-    tail = np.cumsum(c[::-1])[::-1] - c
+    tail = _tail_sums(c)[1:]
     _require(name, cum == tail,
              lambda r: f"cumulative {cum[r]} at degree {d[r]} is not the "
                        f"tail count {tail[r]}")
-    counts = dict(zip(d.tolist(), c.tolist()))
-    isolated = counts.pop(0, 0)
-    return DegreeHistogram(counts, sum(counts.values()) + isolated)
+    positive = d > 0  # the rows are sorted, so only the first can be 0
+    return DegreeHistogram(d[positive], c[positive], int(c.sum()))
 
 
 def surface_from_tables(hist: DegreeHistogram, edges_path,

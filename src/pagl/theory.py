@@ -166,7 +166,11 @@ def multiplicity_scaling_report(samples_per_n, n_list, a, m, seed=0, threads=1):
     """Generate ``samples_per_n`` graphs at each n and regress the counts."""
     if not (0.0 < a < 1.0):
         raise ValueError("scaling check requires 0 < a < 1")
+    if samples_per_n < 1:
+        raise ValueError(f"need at least 1 sample per n, got {samples_per_n}")
     n_list = [int(n) for n in n_list]
+    if len(n_list) < 2:
+        raise ValueError("n_list needs at least 2 sizes to fit a slope")
     if any(b <= c for b, c in zip(n_list[1:], n_list)):
         raise ValueError("n_list must be strictly increasing")
     base = np.random.SeedSequence(seed)

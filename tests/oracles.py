@@ -117,7 +117,7 @@ def holme_kim_edges(n, m, p_t, seed):
 def histogram_dict(h) -> dict:
     """Vertex count by degree, with a 0 entry only if some are isolated."""
     out = {0: h.isolated} if h.isolated else {}
-    out.update(sorted(h.counts.items()))
+    out.update(zip(h.degrees.tolist(), h.counts.tolist()))
     return out
 
 

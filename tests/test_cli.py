@@ -296,21 +296,14 @@ class TestExitCodesAndEnv:
                    "--d1-lo", 3, "--d1-hi", 100,
                    "--out-prefix", tmp_path / "Z") == 2
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAGL_THREADS", "2")
+    def test_threads_default_is_cores(self, tmp_path):
         out = tmp_path / "g.tsv"
         assert run("generate", "--model", "bo", "--a", 0.5, "--m", 1,
                    "--n", 20, "--seed", 0, "--out", out) == 0
         manifest = json.loads((tmp_path / "g.tsv.manifest.json").read_text())
-        assert manifest["threads"] == 2
+        assert manifest["threads"] == (os.cpu_count() or 1)
 
-    def test_threads_env_invalid(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAGL_THREADS", "zero")
-        assert run("generate", "--model", "bo", "--a", 0.5, "--m", 1,
-                   "--n", 20, "--out", tmp_path / "g.tsv") == 2
-
-    def test_threads_flag_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAGL_THREADS", "8")
+    def test_threads_flag_recorded(self, tmp_path):
         out = tmp_path / "g.tsv"
         assert run("generate", "--model", "bo", "--a", 0.5, "--m", 1,
                    "--n", 20, "--seed", 0, "--threads", 3, "--out", out) == 0
@@ -352,3 +345,39 @@ class TestOversizedInputs:
                               "--n", 100_000_000, "--out", tmp_path / "g.bin")
         assert rc == 2 and "Traceback" not in err
         assert "slot limit" in err
+
+
+def tables(root):
+    a = root / "A"
+    return ["--degrees", f"{a}.degrees.tsv", "--edges", f"{a}.edges.tsv",
+            "--xcells", f"{a}.xcells.tsv", "--d1-lo", 3, "--d1-hi", 100]
+
+
+MULTIPLICITY = ["theory", "multiplicity", "--a", 0.5, "--m", 2]
+
+
+class TestCountsBelowOne:
+    """A count below 1, or one size for a slope, exits 2 naming the flag."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (lambda r: ["bootstrap", "--target", "degrees", *tables(r),
+                    "--iterations", -3], "--iterations"),
+        (lambda r: ["bootstrap", "--target", "edges", *tables(r),
+                    "--iterations", 0], "--iterations"),
+        (lambda r: ["fit", *tables(r), "--bootstrap", -3], "--bootstrap"),
+        (lambda r: ["fit", *tables(r), "--bootstrap", 0], "--bootstrap"),
+        (lambda r: [*MULTIPLICITY, "--n-list", "200,400", "--samples", -2],
+         "--samples"),
+        (lambda r: [*MULTIPLICITY, "--n-list", "200,400", "--samples", 0],
+         "--samples"),
+        (lambda r: [*MULTIPLICITY, "--n-list", "30"], "--n-list"),
+        (lambda r: ["analyze", "--graph", r / "g.tsv", "--threads", 0],
+         "--threads"),
+    ], ids=["iterations-neg", "iterations-0", "bootstrap-neg", "bootstrap-0",
+            "samples-neg", "samples-0", "one-size", "threads-0"])
+    def test_exit_2(self, pipeline, tmp_path, argv, flag):
+        rc, err = run_limited(*argv(pipeline),
+                              "--out-prefix", tmp_path / "Z")
+        assert rc == 2 and "Traceback" not in err
+        assert flag in err
+        assert not list(tmp_path.iterdir())

@@ -1,7 +1,9 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import (
     cells_dict,
@@ -43,7 +45,19 @@ class TestHistogram:
     def test_isolated_bucket(self):
         h = histogram_from_degrees([0, 0, 0])
         assert histogram_dict(h) == {0: 3}
-        assert h.counts == {}
+        assert h.degrees.size == 0 and h.counts.size == 0
+
+    @given(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 10**12)),
+                    max_size=200))
+    def test_matches_counter(self, degrees):
+        h = histogram_from_degrees(degrees)
+        oracle = Counter(d for d in degrees if d > 0)
+        assert h.degrees.tolist() == sorted(oracle)
+        assert h.counts.tolist() == [oracle[d] for d in sorted(oracle)]
+        assert (h.counts >= 1).all()
+        assert h.degrees.dtype == h.counts.dtype == np.int64
+        assert h.n_vertices == len(degrees)
+        assert h.isolated == degrees.count(0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

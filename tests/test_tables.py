@@ -42,6 +42,13 @@ cells = st.dictionaries(
     st.integers(1, 10**9), min_size=1, max_size=40)
 
 
+def histogram_of(counts: dict, isolated: int = 0) -> DegreeHistogram:
+    d = sorted(counts)
+    c = [counts[k] for k in d]
+    return DegreeHistogram(np.array(d, np.int64), np.array(c, np.int64),
+                           sum(c) + isolated)
+
+
 def matrix_of(table: dict) -> EdgeDegreeMatrix:
     keys = sorted(table)
     return EdgeDegreeMatrix(np.array([a for a, _ in keys], np.int64),
@@ -66,8 +73,12 @@ class TestFormatRows:
 class TestRoundTrip:
     @given(degree_counts, st.integers(0, 1000))
     def test_degrees(self, counts, isolated):
-        h = DegreeHistogram(counts, sum(counts.values()) + isolated)
-        assert load_degrees_tsv(io.StringIO(text_of(write_degrees_tsv, h))) == h
+        h = histogram_of(counts, isolated)
+        back = load_degrees_tsv(io.StringIO(text_of(write_degrees_tsv, h)))
+        for name in ("degrees", "counts"):
+            assert np.array_equal(getattr(back, name), getattr(h, name))
+            assert getattr(back, name).dtype == np.int64
+        assert back.n_vertices == h.n_vertices
 
     @given(cells)
     def test_xcells(self, table):
@@ -126,7 +137,7 @@ class TestReaderRejects:
 
     @given(degree_counts.filter(lambda t: len(t) >= 2), st.data())
     def test_degrees_repeated_or_unsorted_rows(self, counts, data):
-        h = DegreeHistogram(counts, sum(counts.values()))
+        h = histogram_of(counts)
         rows = text_of(write_degrees_tsv, h).splitlines()
         body = rows[1:]
         i = data.draw(st.integers(0, len(body) - 1))

@@ -210,3 +210,12 @@ class TestMultiplicityScaling:
     def test_requires_increasing_sizes(self):
         with pytest.raises(ValueError):
             multiplicity_scaling_report(2, [200, 100], a=0.5, m=1)
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_requires_a_sample(self, samples):
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            multiplicity_scaling_report(samples, [100, 200], a=0.5, m=1)
+
+    def test_requires_two_sizes(self):
+        with pytest.raises(ValueError, match="at least 2 sizes"):
+            multiplicity_scaling_report(2, [100], a=0.5, m=1)
