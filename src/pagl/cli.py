@@ -31,8 +31,8 @@ from .bootstrap import bootstrap_edges, bootstrap_vertices
 from .buckley_osthus import BOParams, generate_bo
 from .fitting import DivergenceError, degree_range, fit_degree, fit_edges, \
     pair_domain, select_range
-from .graphs import Graph, load_binary, load_edge_list, save_binary, \
-    save_edge_list, simplify
+from .graphs import Graph, edge_list_bytes, load_binary, load_edge_list, \
+    save_binary, simplify
 from .stats import cumulative_degree, d_nn_profile, degree_histogram, \
     edge_degree_matrix, log_grid, rho_surface
 from .tables import format_rows, load_degrees_tsv, load_xcells_tsv, \
@@ -56,9 +56,7 @@ def _graph_payload(g: Graph, fmt: str) -> bytes:
         buf = io.BytesIO()
         save_binary(g, buf)
         return buf.getvalue()
-    buf = io.StringIO()
-    save_edge_list(g, buf)
-    return buf.getvalue().encode()
+    return edge_list_bytes(g)
 
 
 def _load_graph(path: str, override: str | None) -> Graph:

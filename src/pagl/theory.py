@@ -17,7 +17,8 @@ surface built from the oracle's asymptotic summand is proportional to the
 fitted edge model (d1+d2)**(1-a) * (d1*d2)**a.  The double tail sums are
 evaluated exactly: the inner sums by Euler-Maclaurin with a closed-form
 integral (a Gauss hypergeometric expression), the remaining single sums
-as Hurwitz zeta values.
+as Hurwitz zeta values.  Both come from scipy, which the two functions
+import when called, so that importing pagl does not load it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1, zeta
 
 from .buckley_osthus import generate_bo_chain, merge_blocks
 from .graphs import count_multiplicities
@@ -220,6 +220,8 @@ def _inner_tail(L, j, a):
     L**(-a)/a * 2F1(a-1, a, a+1, -j/L); the f(L)/2 - f'(L)/12 correction
     leaves a remainder far below 1e-6 relative for L >= 11.
     """
+    from scipy.special import hyp2f1
+
     g = hyp2f1(a - 1.0, a, a + 1.0, -j / L)
     integral = L ** (-a) / a * g
     f = (L + j) ** (1.0 - a) * L**-2.0
@@ -238,6 +240,8 @@ def tail_ratio(d1: int, d2: int, a: float) -> float:
         raise ValueError("need d1 >= d2 >= 1")
     if not a > 0:
         raise ValueError("need a > 0")
+    from scipy.special import hyp2f1, zeta
+
     L = d1 + 1.0
     # region with j <= d1 < i: exact sum over j of the inner tail
     j = np.arange(d2 + 1, d1 + 1, dtype=np.float64)

@@ -311,16 +311,20 @@ class TestExitCodesAndEnv:
         assert manifest["threads"] == 3
 
 
+def child_env():
+    """The environment of a child Python that imports this pagl."""
+    src = str(Path(pagl.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def run_limited(*argv):
     """Run the CLI in a child process whose address space is capped at
     1 GiB, so an oversized allocation fails fast instead of paging."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(pagl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "pagl.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True,
+                          env=child_env(), capture_output=True, text=True,
                           preexec_fn=cap, timeout=120)
     return proc.returncode, proc.stderr
 
@@ -339,6 +343,14 @@ class TestOversizedInputs:
                               "--out-prefix", tmp_path / "A")
         assert rc == 2 and "Traceback" not in err
         assert "vertex count" in err
+
+    def test_vertex_id_beyond_64_bits(self, tmp_path):
+        g = tmp_path / "g.tsv"
+        g.write_text("0 1\n99999999999999999999 1\n")
+        rc, err = run_limited("analyze", "--graph", g,
+                              "--out-prefix", tmp_path / "A")
+        assert rc == 2 and "Traceback" not in err
+        assert "line 2" in err and "32-bit id limit" in err
 
     def test_hk_edge_slots(self, tmp_path):
         rc, err = run_limited("generate", "--model", "hk", "--m", 12,
@@ -381,3 +393,24 @@ class TestCountsBelowOne:
         assert rc == 2 and "Traceback" not in err
         assert flag in err
         assert not list(tmp_path.iterdir())
+
+
+class TestImportCost:
+    """scipy serves `theory rho-shape` alone; no other use of pagl loads it."""
+
+    def test_import(self):
+        code = "import sys, pagl, pagl.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    def test_version(self):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "pagl.cli", "--version"],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "numpy" in imported and "pagl.graphs" in imported
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]

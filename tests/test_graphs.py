@@ -1,23 +1,36 @@
 import io
+import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from oracles import adjacency
+import pagl.graphs
+from oracles import (
+    adjacency,
+    adjacency_pairs_lexsort,
+    load_edge_list_lines,
+    save_edge_list_lines,
+    simplify_lexsort,
+)
 from pagl.graphs import (
     Graph,
     GraphFormatError,
     GraphValidationError,
     MultiplicityReport,
+    _adjacency_keys,
     count_multiplicities,
+    edge_list_bytes,
     load_binary,
     load_edge_list,
     save_binary,
     save_edge_list,
     simplify,
 )
+
+TOP_ID = 2**32 - 1
 
 
 def edges_of(g):
@@ -63,6 +76,102 @@ class TestParse:
     def test_id_above_declared_n(self):
         with pytest.raises(GraphValidationError):
             load_edge_list(io.StringIO("#n 2\n0 5\n"))
+
+    @pytest.mark.parametrize("big", ["4294967296", "99999999999999999999"])
+    def test_id_beyond_32_bits_names_line(self, big):
+        with pytest.raises(GraphFormatError, match="32-bit id limit") as ei:
+            load_edge_list(io.BytesIO(f"0 1\n{big} 1\n".encode()))
+        assert ei.value.line == 2
+
+    def test_top_id(self):
+        g = load_edge_list(io.BytesIO(f"{TOP_ID} 0\n".encode()))
+        assert g.n == 2**32 and edges_of(g) == [(TOP_ID, 0)]
+
+    def test_underscore_in_id_rejected(self):
+        # Python's int() reads "1_0" as 10; the format takes digits only
+        with pytest.raises(GraphFormatError, match="non-integer") as ei:
+            load_edge_list(io.BytesIO(b"0 1\n1_0 2\n"))
+        assert ei.value.line == 2
+
+
+def outcome(read):
+    """The graph ``read()`` returns, or its error class and named line."""
+    try:
+        return read()
+    except (GraphFormatError, GraphValidationError) as exc:
+        line = re.match(r"line (\d+):", str(exc))
+        return type(exc), int(line.group(1)) if line else None
+
+
+IDS = st.one_of(st.integers(0, 60).map(str),
+                st.sampled_from(["007", "+3", "-0", str(TOP_ID)]))
+BAD_FIELDS = st.sampled_from(["x", "1.5", "1_0", "-1", "+", "-", "1-2",
+                              "--1", "#", "3#"])
+SEPS = st.sampled_from([" ", "\t", "  ", " \t "])
+PADS = st.sampled_from(["", " ", "\t"])
+EDGE_LINES = st.builds(lambda a, sep, b, l, r: l + a + sep + b + r,
+                       IDS, SEPS, IDS, PADS, PADS)
+COMMENT_LINES = st.one_of(
+    st.sampled_from(["#", "# c", "  # 1 2", "# n 70", "#n x", "#n -3",
+                     "#n +40", "#n 1_0", "#n 5 6", "#n", "#n4"]),
+    st.integers(0, 80).map(lambda k: f"#n {k}"),
+)
+FAULT_LINES = st.builds(lambda fields, sep: sep.join(fields),
+                        st.lists(st.one_of(IDS, BAD_FIELDS), min_size=1,
+                                 max_size=4), SEPS)
+LINES = st.one_of(EDGE_LINES, EDGE_LINES, EDGE_LINES, PADS, COMMENT_LINES,
+                  FAULT_LINES)
+EOLS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+FILES = st.builds(lambda rows, last: "".join(l + e for l, e in rows) + last,
+                  st.lists(st.tuples(LINES, EOLS), max_size=12),
+                  st.one_of(st.just(""), LINES))
+
+
+class TestReaderMatchesLineOracle:
+    """The array reader and the per-line oracle agree on every file: the
+    same Graph, or the same error class naming the same line."""
+
+    @given(FILES)
+    @example("1 2 3\n4\n")
+    @example("0 1\n#n 1\n")
+    @example("#n 3\n0 1\n#n x\n5 1\n")
+    @example("0 1\r\n\t2\t3\r\n# c\r\n\r\n4 5")
+    @example("1 2\n1 -\n")
+    @example("1 -")
+    @example("0 1\n1-2 5\n")
+    @example("1 2\n \n")
+    @example("#n x\n")
+    def test_same_outcome(self, text):
+        got = outcome(lambda: load_edge_list(io.BytesIO(text.encode())))
+        want = outcome(lambda: load_edge_list_lines(text))
+        assert got == want
+
+
+class TestWriterMatchesLineOracle:
+    @pytest.mark.parametrize("g", [
+        Graph(5, []),
+        Graph(0, []),
+        Graph(101, [(0, 9), (10, 99), (100, 0), (9, 9), (99, 100)]),
+        Graph(2**32, [(0, TOP_ID), (TOP_ID, 10), (99, TOP_ID)]),
+    ], ids=["no-edges", "n0", "digit-widths", "top-id"])
+    def test_bytes(self, g):
+        want = io.StringIO()
+        save_edge_list_lines(g, want)
+        assert edge_list_bytes(g) == want.getvalue().encode()
+        got = io.BytesIO()
+        save_edge_list(g, got)
+        assert got.getvalue() == want.getvalue().encode()
+
+    @given(st.lists(st.tuples(*[st.one_of(st.integers(0, 120),
+                                          st.integers(0, TOP_ID))] * 2),
+                    max_size=40),
+           st.integers(1, 7))
+    def test_blocks(self, edges, block):
+        g = Graph(1 + max((max(e) for e in edges), default=-1), edges)
+        want = io.StringIO()
+        save_edge_list_lines(g, want)
+        with mock.patch.object(pagl.graphs, "_DIGITS_BLOCK", block):
+            assert edge_list_bytes(g) == want.getvalue().encode()
 
 
 class TestSerialize:
@@ -136,6 +245,26 @@ class TestSimplify:
         g = Graph(50, rng.integers(0, 50, size=(300, 2)))
         s = simplify(g)
         assert s.degrees().sum() == 2 * s.num_edges
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=60),
+           st.integers(0, 5))
+    def test_matches_lexsort_oracle(self, edges, isolated):
+        # loops, parallel edges in both orientations, and `isolated`
+        # vertices past the last id
+        g = Graph(10 + isolated, edges)
+        s = simplify(g)
+        assert s == simplify_lexsort(g)
+        assert s.indptr.dtype == s.indices.dtype == np.int64
+
+    def test_top_id_keys(self):
+        # a Graph holding id 2**32-1 has n = 2**32, whose CSR row pointer
+        # alone takes 32 GiB, so the slot keys are checked without it
+        edges = np.array([(TOP_ID, 0), (0, TOP_ID), (TOP_ID, TOP_ID),
+                          (TOP_ID - 1, TOP_ID), (5, TOP_ID - 1), (5, 0)], np.int64)
+        keys = _adjacency_keys(edges)
+        src, dst = adjacency_pairs_lexsort(edges)
+        assert (keys >> np.uint64(32)).tolist() == src.tolist()
+        assert (keys & np.uint64(0xFFFFFFFF)).tolist() == dst.tolist()
 
 
 class TestMultiplicities:
