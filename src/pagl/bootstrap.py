@@ -28,7 +28,9 @@ from .fitting import (
     DivergenceError,
     FitResult,
     PairDomain,
-    _fit_edge_values,
+    _degree_law,
+    _edge_law,
+    _pair_index,
     fit_degree,
     fit_edges,
 )
@@ -36,7 +38,6 @@ from .stats import (
     DegreeHistogram,
     EdgeDegreeMatrix,
     LogGrid,
-    TailCounts,
     _suffix2d,
     _tail_sums,
     cumulative_degree,
@@ -101,15 +102,16 @@ def bootstrap_vertices(hist: DegreeHistogram, rng: DegreeRange, B: int = 1000,
     n = hist.n_vertices
     # the isolated vertices are the last category
     p = np.append(hist.counts, hist.isolated) / n
+    # positions in the suffix sums of the strict tails above the grid points
+    above = np.searchsorted(hist.degrees, rng.grid_points, side="right")
+    law = _degree_law(rng)
 
     def one(stream):
         cnt = stream.multinomial(n, p)
-        try:
-            refit = fit_degree(TailCounts(hist.degrees, _tail_sums(cnt[:-1])),
-                               rng, initial=(original.a, original.b))
-        except ValueError:
+        y = _tail_sums(cnt[:-1])[above].astype(np.float64)
+        if np.any(y <= 0):
             return np.nan
-        return refit.a if refit.converged else np.nan
+        return law.refit(y, original)
 
     return _finish("degrees", original, map(one, streams))
 
@@ -141,18 +143,15 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
 
     # domain pairs satisfy d1 > d2, so the needed tail entries sit at
     # index pairs (i, j) with i > j and no symmetrization is required
-    i_idx = np.searchsorted(points, domain.d1)
-    j_idx = np.searchsorted(points, domain.d2)
+    i_idx, j_idx = _pair_index(points, domain)
     denom = surface.cum_deg[i_idx].astype(np.float64) * surface.cum_deg[j_idx]
+    law = _edge_law(domain)
     num_edges = matrix.total_edges
 
     def one(stream):
         cnt = stream.multinomial(num_edges, p)
         h = np.bincount(cat_bin, weights=cnt * cat_weight, minlength=size)
         tail = _suffix2d(h.reshape(k + 1, k + 1))[1:, 1:]
-        rho = tail[i_idx, j_idx] / denom
-        refit = _fit_edge_values(rho, domain.d1, domain.d2,
-                                 initial=(original.a, original.b))
-        return refit.a if refit.converged else np.nan
+        return law.refit(tail[i_idx, j_idx] / denom, original)
 
     return _finish("edges", original, map(one, streams))

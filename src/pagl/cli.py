@@ -29,8 +29,8 @@ from .baselines import GDSParams, HKParams, generate_configuration, \
     generate_holme_kim, sample_power_law_degrees
 from .bootstrap import bootstrap_edges, bootstrap_vertices
 from .buckley_osthus import BOParams, generate_bo
-from .fitting import DivergenceError, degree_range, fit_degree, fit_edges, \
-    pair_domain, select_range
+from .fitting import _MAX_WINDOW, _MIN_WINDOW, DivergenceError, \
+    degree_range, fit_degree, fit_edges, pair_domain, select_range
 from .graphs import Graph, edge_list_bytes, load_binary, load_edge_list, \
     save_binary, simplify
 from .stats import cumulative_degree, d_nn_profile, degree_histogram, \
@@ -149,18 +149,21 @@ def _build_analyze(args):
 # ---------------------------------------------------------------------------
 # fit
 
-def _fit_entry(fit, note=None) -> dict:
-    if fit is None:
-        return {"converged": False, "error": note}
-    entry = {
+def _fit_entry(fit) -> dict:
+    return {
         "a": float(fit.a), "b": float(fit.b),
         "sigma2": float(fit.sigma2), "objective": float(fit.objective),
         "iterations": int(fit.iterations), "converged": bool(fit.converged),
         "domain_size": int(fit.domain_size),
     }
-    if note:
-        entry["error"] = note
-    return entry
+
+
+def _attempt(fit, *args) -> dict:
+    """The entry of ``fit(*args)``, or of the ValueError it raised."""
+    try:
+        return _fit_entry(fit(*args))
+    except ValueError as exc:
+        return {"converged": False, "error": str(exc)}
 
 
 def _fit_tsv(degree_entry, edge_entry) -> bytes:
@@ -205,25 +208,30 @@ def _load_degrees(args):
     return hist, cumulative_degree(hist), grid
 
 
+def _bootstrap(args, target, hist, rng, dom, grid, B, inputs):
+    """Bootstrap one target; returns the report and its JSON entry."""
+    if target == "degrees":
+        rep = bootstrap_vertices(hist, rng, B=B, seed=args.seed)
+    else:
+        if not args.xcells:
+            raise ValueError("the edge bootstrap needs --xcells")
+        matrix = load_xcells_tsv(args.xcells)
+        inputs.append(args.xcells)
+        rep = bootstrap_edges(hist, matrix, dom, grid, B=B, seed=args.seed)
+    return rep, {"sigma_s2": float(rep.sigma_s2),
+                 "iterations": rep.iterations, "diverged": rep.diverged}
+
+
 def _build_fit(args):
     hist, tails, grid = _load_degrees(args)
     surface = surface_from_tables(hist, args.edges, grid)
     rng, dom, fd, fe, auto = _resolve_range(args, tails, surface, grid)
 
-    deg_note = edge_note = None
-    if fd is None:
-        try:
-            fd = fit_degree(tails, rng)
-        except ValueError as exc:
-            fd, deg_note = None, str(exc)
-    if fe is None:
-        try:
-            fe = fit_edges(surface, dom)
-        except ValueError as exc:
-            fe, edge_note = None, str(exc)
-
-    degree_entry = _fit_entry(fd, deg_note)
-    edge_entry = _fit_entry(fe, edge_note)
+    if auto:
+        degree_entry, edge_entry = _fit_entry(fd), _fit_entry(fe)
+    else:
+        degree_entry = _attempt(fit_degree, tails, rng)
+        edge_entry = _attempt(fit_edges, surface, dom)
     report = {
         "degree": degree_entry,
         "edge": edge_entry,
@@ -238,27 +246,13 @@ def _build_fit(args):
     inputs = [args.degrees, args.edges]
     if args.bootstrap is not None:
         boot = {}
-        if fd is not None and fd.converged:
-            rep = bootstrap_vertices(hist, rng, B=args.bootstrap,
-                                     seed=args.seed)
-            boot["degrees"] = {"sigma_s2": float(rep.sigma_s2),
-                               "iterations": rep.iterations,
-                               "diverged": rep.diverged}
-        else:
-            boot["degrees"] = {"error": "original degree fit did not converge"}
-        if fe is not None and fe.converged:
-            if not args.xcells:
-                raise ValueError(
-                    "--bootstrap needs --xcells for the edge target")
-            matrix = load_xcells_tsv(args.xcells)
-            inputs.append(args.xcells)
-            rep = bootstrap_edges(hist, matrix, dom, grid, B=args.bootstrap,
-                                  seed=args.seed)
-            boot["edges"] = {"sigma_s2": float(rep.sigma_s2),
-                             "iterations": rep.iterations,
-                             "diverged": rep.diverged}
-        else:
-            boot["edges"] = {"error": "original edge fit did not converge"}
+        for target, kind in (("degrees", "degree"), ("edges", "edge")):
+            if report[kind]["converged"]:
+                boot[target] = _bootstrap(args, target, hist, rng, dom, grid,
+                                          args.bootstrap, inputs)[1]
+            else:
+                boot[target] = {
+                    "error": f"original {kind} fit did not converge"}
         report["bootstrap"] = boot
 
     p = args.out_prefix
@@ -292,15 +286,8 @@ def _build_bootstrap(args):
         surface = None
     rng, dom, _fd, _fe, auto = _resolve_range(args, tails, surface, grid)
 
-    if args.target == "degrees":
-        rep = bootstrap_vertices(hist, rng, B=args.iterations, seed=args.seed)
-    else:
-        if not args.xcells:
-            raise ValueError("--target edges needs --xcells")
-        matrix = load_xcells_tsv(args.xcells)
-        inputs.append(args.xcells)
-        rep = bootstrap_edges(hist, matrix, dom, grid, B=args.iterations,
-                              seed=args.seed)
+    rep, entry = _bootstrap(args, args.target, hist, rng, dom, grid,
+                            args.iterations, inputs)
 
     table = format_rows(
         "iteration\testimate", [*range(rep.iterations), "sigma_s2"],
@@ -308,9 +295,7 @@ def _build_bootstrap(args):
     report = {
         "target": rep.target,
         "original": _fit_entry(rep.original),
-        "sigma_s2": float(rep.sigma_s2),
-        "iterations": rep.iterations,
-        "diverged": rep.diverged,
+        **entry,
         "range": {"lo": rng.lo, "hi": rng.hi, "auto": auto},
     }
     p = args.out_prefix
@@ -431,6 +416,21 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _float_where(ok, need: str):
+    """An argparse type: a float for which ``ok`` holds."""
+    def number(text: str) -> float:
+        if not ok(float(text)):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return float(text)
+    return number
+
+
+_ALPHA = _float_where(lambda a: 1.0 < a < math.inf, "a finite number > 1")
+_CUTOFF = _float_where(lambda r: 1.0 <= r < math.inf, "a finite number >= 1")
+_WINDOW = _float_where(lambda w: _MIN_WINDOW <= w <= _MAX_WINDOW,
+                       f"a log10 length from {_MIN_WINDOW} to {_MAX_WINDOW:.0f}")
+
+
 def _add_common(sub, out_flag):
     sub.add_argument("--threads", type=_positive_int,
                      default=os.cpu_count() or 1,
@@ -449,10 +449,10 @@ def _add_range_flags(sub):
     sub.add_argument("--d1-hi", type=int, default=None)
     sub.add_argument("--auto-range", action="store_true",
                      help="slide a log window and keep the objective-product minimum")
-    sub.add_argument("--window", type=float, default=3.0,
+    sub.add_argument("--window", type=_WINDOW, default=3.0,
                      help="log10 window length for --auto-range")
-    sub.add_argument("--ratio-cutoff", type=float, default=10.0)
-    sub.add_argument("--alpha", type=float, default=1.01)
+    sub.add_argument("--ratio-cutoff", type=_CUTOFF, default=10.0)
+    sub.add_argument("--alpha", type=_ALPHA, default=1.01)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="degree/edge/neighbor tables from a graph")
     an.add_argument("--graph", required=True)
     an.add_argument("--format", choices=("text", "binary"), default=None)
-    an.add_argument("--alpha", type=float, default=1.01,
+    an.add_argument("--alpha", type=_ALPHA, default=1.01,
                     help="log-grid ratio")
     _add_common(an, "out_prefix")
     an.set_defaults(func=_build_analyze)

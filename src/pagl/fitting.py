@@ -1,19 +1,19 @@
 """Estimation of the attractiveness parameter from empirical tails.
 
-Two power-law models are fitted by damped Gauss-Newton on square-root
-scale residuals:
+Two power-law models are fitted:
 
 * degree model  b * d**(-1-a)          against the cumulative tail of the
   degree histogram, over the geometric grid points inside a degree range;
 * edge model    b * (d1+d2)**(1-a) * (d1*d2)**a   against the cumulative
   edge-tail correlation, over grid pairs whose ratio d1/d2 exceeds a
-  cutoff (default 10, strict).
+  cutoff (at least 1, default 10, strict).
 
-The optimizer works in theta = (a, ln b), so b stays positive without
-constraints.  ``sigma2`` in results is the mean squared deviation on the
-raw value scale; the minimized sqrt-scale objective is reported
-separately as ``objective``.  A plain log-log regression is provided as a
-baseline only.
+Both are one damped Gauss-Newton fit of ``sqrt(y) ~ exp((ln b + c + (a +
+k) u) / 2)`` in theta = (a, ln b), so b stays positive, over covariates
+built once per domain: c = 0, k = 1, u = -ln d for degrees; c = ln(d1+d2),
+k = 0, u = ln d1 + ln d2 - c for edges.  ``sigma2`` in results is the mean
+squared raw-scale deviation; ``objective`` is the minimized sqrt-scale
+mean square.  A plain log-log regression is a baseline only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stats import LogGrid, RhoSurface, TailCounts
+from .stats import LogGrid, RhoSurface, TailCounts, _grid_index
 
 __all__ = [
     "DegreeRange",
@@ -102,13 +102,15 @@ def degree_range(grid: LogGrid, lo: int, hi: int) -> DegreeRange:
 
 @dataclass(frozen=True)
 class PairDomain:
-    """Grid pairs (d1, d2) with d1 > d2 and d1/d2 strictly above the cutoff."""
+    """Grid pairs (d1, d2) with d1/d2 strictly above a cutoff of at least 1."""
 
     d1: np.ndarray
     d2: np.ndarray
     ratio_cutoff: float
 
     def __post_init__(self):
+        if not self.ratio_cutoff >= 1.0:
+            raise ValueError(f"ratio cutoff {self.ratio_cutoff!r} is not >= 1")
         if np.any(self.d1 <= self.d2 * self.ratio_cutoff):
             raise ValueError("pair domain contains pairs below the ratio cutoff")
 
@@ -188,8 +190,6 @@ def gauss_newton(residual, jacobian, theta0, *, max_iter=100, max_halvings=30,
         for iterations in range(1, max_iter + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 jac = np.asarray(jacobian(theta), dtype=np.float64)
-            if jac.ndim == 1:
-                jac = jac[:, None]
             if not np.all(np.isfinite(jac)):
                 break
             delta = _solve_step(jac.T @ jac, jac.T @ r)
@@ -251,6 +251,57 @@ def _clamp(x, lo, hi):
     return min(max(x, lo), hi)
 
 
+class _PowerLaw:
+    """Either model over one domain: the covariates ``u`` and ``c``, the
+    shift ``k`` and the value-scale model ``raw(a, b)`` are fixed."""
+
+    def __init__(self, kind, u, c, k, raw):
+        self.kind, self.u, self.c, self.k, self.raw = kind, u, c, k, raw
+        self._du = -0.5 * u  # d(residual)/da over the sqrt-model
+
+    def solve(self, y, a0, lnb0, max_iter=100) -> GNResult:
+        sqrt_y = np.sqrt(y)
+
+        def sqrt_model(th):
+            return np.exp(0.5 * (th[1] + self.c + (th[0] + self.k) * self.u))
+
+        def jacobian(th):
+            s = sqrt_model(th)
+            return np.column_stack([self._du * s, -0.5 * s])
+
+        return gauss_newton(lambda th: sqrt_y - sqrt_model(th), jacobian,
+                            [a0, lnb0], max_iter=max_iter)
+
+    def fit(self, y, a0, lnb0, max_iter) -> FitResult:
+        gn = self.solve(y, a0, lnb0, max_iter)
+        a, b = float(gn.theta[0]), float(math.exp(gn.theta[1]))
+        return FitResult(
+            a=a, b=b,
+            sigma2=float(np.mean((y - self.raw(a, b)) ** 2)),
+            iterations=gn.iterations, converged=gn.converged,
+            objective=gn.objective, domain_size=int(y.size), kind=self.kind,
+            trace=gn.trace,
+        )
+
+    def refit(self, y, start: FitResult) -> float:
+        """The exponent refitted to ``y`` from ``start``, NaN unless converged."""
+        gn = self.solve(y, start.a, math.log(start.b))
+        return float(gn.theta[0]) if gn.converged else math.nan
+
+
+def _log_start(initial):
+    a0, b0 = initial
+    if b0 <= 0:
+        raise ValueError("initial scale must be positive")
+    return a0, math.log(b0)
+
+
+def _degree_law(rng: DegreeRange) -> _PowerLaw:
+    d = rng.grid_points.astype(np.float64)
+    return _PowerLaw("degree", -np.log(d), 0.0, 1,
+                     lambda a, b: degree_model(a, b, d))
+
+
 def fit_degree(cum_deg: TailCounts, rng: DegreeRange, *, initial=None,
                max_iter=100) -> FitResult:
     """Fit the degree model to the cumulative tail on the range's grid points.
@@ -259,59 +310,34 @@ def fit_degree(cum_deg: TailCounts, rng: DegreeRange, *, initial=None,
     overrides the default start (exponent from the log-log baseline,
     scale matched at the geometric midpoint of the range).
     """
-    d = rng.grid_points.astype(np.float64)
     y = np.asarray(cum_deg.at(rng.grid_points), dtype=np.float64)
     if np.any(y <= 0):
         raise ValueError("cumulative degree count vanishes inside the fit range")
-    ln_d = np.log(d)
-    sqrt_y = np.sqrt(y)
-
     if initial is None:
+        d = rng.grid_points.astype(np.float64)
         slope, _ = loglog_regression(d, y)
         a0 = _clamp(-slope - 1.0, 0.01, 10.0)
         mid_idx = int(np.argmin(np.abs(d - math.sqrt(rng.lo * rng.hi))))
-        b0 = y[mid_idx] * d[mid_idx] ** (1.0 + a0)
+        lnb0 = math.log(y[mid_idx] * d[mid_idx] ** (1.0 + a0))
     else:
-        a0, b0 = initial
-        if b0 <= 0:
-            raise ValueError("initial scale must be positive")
-
-    def sqrt_model(th):
-        return np.exp(0.5 * (th[1] - (1.0 + th[0]) * ln_d))
-
-    def residual(th):
-        return sqrt_y - sqrt_model(th)
-
-    def jacobian(th):
-        s = sqrt_model(th)
-        return np.column_stack([0.5 * ln_d * s, -0.5 * s])
-
-    gn = gauss_newton(residual, jacobian, [a0, math.log(b0)], max_iter=max_iter)
-    a, b = float(gn.theta[0]), float(math.exp(gn.theta[1]))
-    model = degree_model(a, b, d)
-    return FitResult(
-        a=a, b=b,
-        sigma2=float(np.mean((y - model) ** 2)),
-        iterations=gn.iterations, converged=gn.converged,
-        objective=gn.objective, domain_size=d.size, kind="degree",
-        trace=gn.trace,
-    )
+        a0, lnb0 = _log_start(initial)
+    return _degree_law(rng).fit(y, a0, lnb0, max_iter)
 
 
-def _diverged_result(kind, size):
-    return FitResult(a=math.nan, b=math.nan, sigma2=math.nan, iterations=0,
-                     converged=False, objective=math.inf, domain_size=size,
-                     kind=kind)
-
-
-def _rho_at_pairs(surface: RhoSurface, domain: PairDomain) -> np.ndarray:
-    pts = surface.grid.points
-    i = np.searchsorted(pts, domain.d1)
-    j = np.searchsorted(pts, domain.d2)
-    bad = (i >= pts.size) | (j >= pts.size)
-    if np.any(bad) or np.any(pts[i] != domain.d1) or np.any(pts[j] != domain.d2):
+def _pair_index(points: np.ndarray, domain: PairDomain):
+    """Positions (i, j) of the domain's pairs on the grid ``points``."""
+    (i, j), on_grid = _grid_index(points, np.stack([domain.d1, domain.d2]))
+    if not on_grid.all():
         raise ValueError("pair domain contains degrees outside the surface grid")
-    return surface.rho[i, j]
+    return i, j
+
+
+def _edge_law(domain: PairDomain) -> _PowerLaw:
+    b1 = domain.d1.astype(np.float64)
+    b2 = domain.d2.astype(np.float64)
+    ln_sum = np.log(b1 + b2)
+    return _PowerLaw("edges", np.log(b1) + np.log(b2) - ln_sum, ln_sum, 0,
+                     lambda a, b: edge_model(a, b, b1, b2))
 
 
 def fit_edges(surface: RhoSurface, domain: PairDomain, *, initial=None,
@@ -324,55 +350,22 @@ def fit_edges(surface: RhoSurface, domain: PairDomain, *, initial=None,
     """
     if len(domain) == 0:
         raise ValueError("empty pair domain")
-    y = np.asarray(_rho_at_pairs(surface, domain), dtype=np.float64)
+    y = surface.rho[_pair_index(surface.grid.points, domain)]
     if np.any(np.isnan(y)):
         raise ValueError("rho is undefined on part of the pair domain")
-    return _fit_edge_values(y, domain.d1, domain.d2, initial=initial,
-                            max_iter=max_iter)
-
-
-def _fit_edge_values(y, d1, d2, *, initial=None, max_iter=100) -> FitResult:
-    """Edge-model fit on explicit (rho, d1, d2) arrays; shared with the
-    bootstrap refits."""
-    b1 = np.asarray(d1, dtype=np.float64)
-    b2 = np.asarray(d2, dtype=np.float64)
-    ln_sum = np.log(b1 + b2)
-    u = np.log(b1) + np.log(b2) - ln_sum
-    sqrt_y = np.sqrt(y)
-
+    law = _edge_law(domain)
     if initial is None:
         pos = y > 0
         if pos.sum() < 2:
-            return _diverged_result("edges", int(y.size))
-        coef = np.polyfit(u[pos], np.log(y[pos]) - ln_sum[pos], 1)
+            return FitResult(a=math.nan, b=math.nan, sigma2=math.nan,
+                             iterations=0, converged=False, objective=math.inf,
+                             domain_size=int(y.size), kind="edges")
+        coef = np.polyfit(law.u[pos], np.log(y[pos]) - law.c[pos], 1)
         a0 = _clamp(float(coef[0]), -5.0, 10.0)
         lnb0 = float(coef[1])
     else:
-        a0, b0 = initial
-        if b0 <= 0:
-            raise ValueError("initial scale must be positive")
-        lnb0 = math.log(b0)
-
-    def sqrt_model(th):
-        return np.exp(0.5 * (th[1] + ln_sum + th[0] * u))
-
-    def residual(th):
-        return sqrt_y - sqrt_model(th)
-
-    def jacobian(th):
-        s = sqrt_model(th)
-        return np.column_stack([-0.5 * u * s, -0.5 * s])
-
-    gn = gauss_newton(residual, jacobian, [a0, lnb0], max_iter=max_iter)
-    a, b = float(gn.theta[0]), float(math.exp(gn.theta[1]))
-    model = edge_model(a, b, b1, b2)
-    return FitResult(
-        a=a, b=b,
-        sigma2=float(np.mean((y - model) ** 2)),
-        iterations=gn.iterations, converged=gn.converged,
-        objective=gn.objective, domain_size=int(y.size), kind="edges",
-        trace=gn.trace,
-    )
+        a0, lnb0 = _log_start(initial)
+    return law.fit(y, a0, lnb0, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +391,15 @@ class RangeSelection:
         yield self.domain
 
 
+# the shortest window tried, and the longest whose span 10**window is a float
+_MIN_WINDOW = 1.2
+_MAX_WINDOW = math.log10(np.finfo(np.float64).max)
+
+
 def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,
                  grid: LogGrid = None, *, ratio_cutoff: float = 10.0,
-                 step: float = 0.1, min_points: int = 3,
-                 shrink: float = 0.5, min_window: float = 1.2) -> RangeSelection:
+                 step: float = 0.1, min_points: int = 3, shrink: float = 0.5,
+                 min_window: float = _MIN_WINDOW) -> RangeSelection:
     """Slide a log10 window over the degree axis and keep the one whose
     two fits have the smallest product of sqrt-scale objectives.
 
@@ -409,8 +407,12 @@ def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,
     every grid point inside has a positive tail count, the pair domain is
     nonempty, and both fits converge.  If a window length yields no valid
     window it shrinks by ``shrink`` (recorded in the result) down to
-    ``min_window`` before giving up.
+    ``min_window`` before giving up; ``window`` must be at least that and
+    at most ``log10`` of the largest float.
     """
+    if not min_window <= window <= _MAX_WINDOW:
+        raise ValueError(f"window {window!r} is not in "
+                         f"[{min_window}, {_MAX_WINDOW:.0f}]")
     if grid is None:
         grid = surface.grid
     if cum_deg.degrees.size == 0:
@@ -430,8 +432,6 @@ def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,
             except ValueError:
                 continue
             if rng.grid_points.size < min_points:
-                continue
-            if np.any(np.asarray(cum_deg.at(rng.grid_points)) <= 0):
                 continue
             dom = pair_domain(rng, ratio_cutoff)
             if len(dom) == 0:

@@ -154,9 +154,10 @@ class LogGrid:
 
 def log_grid(alpha: float, d_max: int) -> LogGrid:
     """Grid values computed by iterated float multiplication, for a
-    platform-stable sequence; alpha <= 1 is rejected."""
-    if not alpha > 1.0:
-        raise ValueError(f"grid ratio alpha must exceed 1, got {alpha!r}")
+    platform-stable sequence; alpha must be finite and above 1."""
+    if not 1.0 < alpha < np.inf:
+        raise ValueError(f"grid ratio alpha must be finite and exceed 1, "
+                         f"got {alpha!r}")
     if d_max >= 1 and np.log(d_max + 1.0) / np.log(alpha) > 1e7:
         raise ValueError(f"alpha={alpha!r} needs too many grid steps for d_max={d_max}")
     points = []

@@ -369,7 +369,7 @@ MULTIPLICITY = ["theory", "multiplicity", "--a", 0.5, "--m", 2]
 
 
 class TestCountsBelowOne:
-    """A count below 1, or one size for a slope, exits 2 naming the flag."""
+    """A bad numeric flag exits 2 naming it."""
 
     @pytest.mark.parametrize("argv, flag", [
         (lambda r: ["bootstrap", "--target", "degrees", *tables(r),
@@ -385,8 +385,21 @@ class TestCountsBelowOne:
         (lambda r: [*MULTIPLICITY, "--n-list", "30"], "--n-list"),
         (lambda r: ["analyze", "--graph", r / "g.tsv", "--threads", 0],
          "--threads"),
+        *[(lambda r, w=w: ["fit", *tables(r), "--auto-range", "--window", w],
+           "--window") for w in ("inf", "1e300", "nan", "0.5")],
+        (lambda r: ["bootstrap", "--target", "degrees", *tables(r),
+                    "--auto-range", "--window", "inf"], "--window"),
+        *[(lambda r, c=c: ["bootstrap", "--target", "edges", *tables(r),
+                           "--ratio-cutoff", c], "--ratio-cutoff")
+          for c in ("0.5", "nan")],
+        (lambda r: ["fit", *tables(r), "--alpha", "inf"], "--alpha"),
+        (lambda r: ["analyze", "--graph", r / "g.tsv", "--alpha", "inf"],
+         "--alpha"),
     ], ids=["iterations-neg", "iterations-0", "bootstrap-neg", "bootstrap-0",
-            "samples-neg", "samples-0", "one-size", "threads-0"])
+            "samples-neg", "samples-0", "one-size", "threads-0",
+            "window-inf", "window-1e300", "window-nan", "window-0.5",
+            "bootstrap-window-inf", "ratio-cutoff-0.5", "ratio-cutoff-nan",
+            "fit-alpha-inf", "analyze-alpha-inf"])
     def test_exit_2(self, pipeline, tmp_path, argv, flag):
         rc, err = run_limited(*argv(pipeline),
                               "--out-prefix", tmp_path / "Z")

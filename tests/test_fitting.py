@@ -115,6 +115,13 @@ class TestDomains:
         # boundary pairs at exactly the cutoff are excluded
         assert all(d1 != 10 * d2 for d1, d2 in dom.pairs)
 
+    @pytest.mark.parametrize("cutoff", [0.5, math.nan])
+    def test_pair_domain_rejects_cutoff_below_one(self, cutoff):
+        # below 1 the domain would hold pairs with d1 <= d2, whose tail
+        # entries the edge bootstrap does not symmetrize
+        with pytest.raises(ValueError, match="ratio cutoff"):
+            pair_domain(degree_range(GRID, 10, 2000), cutoff)
+
     def test_pair_domain_both_endpoints_in_range(self):
         rng = degree_range(GRID, 10, 2000)
         dom = pair_domain(rng, 10.0)
@@ -301,5 +308,47 @@ class TestSelectRange:
         with pytest.raises(ValueError):
             select_range(tails, surf, window=3.0, grid=grid)
 
+    @pytest.mark.parametrize("window", [math.inf, 1e300, math.nan, 0.5])
+    def test_rejects_window_it_cannot_try(self, window):
+        tails = synthetic_tails(GRID.points, 0.5, 1e6)
+        surf = synthetic_surface(0.5, 3e-4)
+        with pytest.raises(ValueError, match="is not in"):
+            select_range(tails, surf, window=window, grid=GRID)
+
     def test_divergence_error_is_runtime_error(self):
         assert issubclass(DivergenceError, RuntimeError)
+
+
+def test_fit_bit_pin():
+    # the fits, the window search and its winners on one generated BO
+    # graph, pinned to the last bit
+    from pagl.buckley_osthus import BOParams, generate_bo
+    from pagl.graphs import simplify
+    from pagl.stats import cumulative_degree, degree_histogram, \
+        edge_degree_matrix, rho_surface
+
+    s = simplify(generate_bo(BOParams(a=0.5, m=3, n=20000, seed=7)))
+    hist = degree_histogram(s)
+    grid = log_grid(1.01, int(np.diff(s.indptr).max()))
+    surface = rho_surface(hist, edge_degree_matrix(s), grid)
+    tails = cumulative_degree(hist)
+    rng = degree_range(grid, 3, 100)
+    sel = select_range(tails, surface, 3.0, grid)
+
+    def pin(fit):
+        return tuple(repr(getattr(fit, key)) for key in
+                     ("a", "b", "sigma2", "objective", "iterations"))
+
+    assert pin(fit_degree(tails, rng)) == (
+        "0.567970921977915", "54766.65668324475", "673.8910510713714",
+        "0.0888124503269682", "4")
+    assert pin(fit_edges(surface, pair_domain(rng, 10.0))) == (
+        "0.4209252582344755", "0.00011723440394513438",
+        "3.422205975799743e-07", "5.350206534048407e-06", "4")
+    assert (sel.range.lo, sel.range.hi, sel.window) == (2, 2511, 3.0)
+    assert pin(sel.degree_fit) == (
+        "0.5643644853804137", "55904.06344223746", "2593.1813916286123",
+        "0.15648276146041978", "8")
+    assert pin(sel.edge_fit) == (
+        "0.13308470020289875", "0.00020345062563944068",
+        "0.021307543677460336", "0.009513889949002444", "9")

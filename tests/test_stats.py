@@ -158,6 +158,8 @@ class TestLogGrid:
     def test_alpha_guard(self):
         with pytest.raises(ValueError):
             log_grid(1.0, 100)
+        with pytest.raises(ValueError):
+            log_grid(float("inf"), 100)
 
 
 class TestRhoSurface:
