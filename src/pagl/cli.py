@@ -9,7 +9,8 @@ and inputs; the manifest is the only artifact carrying timing.  The
 against what was written.
 
 Exit codes: 0 success, 2 validation or format error, 3 fit divergence
-(all fits requested by the command diverged), 4 I/O failure.
+(all fits requested by the command diverged), 4 I/O failure or a failed
+bootstrap worker process.
 """
 
 from __future__ import annotations
@@ -211,13 +212,15 @@ def _load_degrees(args):
 def _bootstrap(args, target, hist, rng, dom, grid, B, inputs):
     """Bootstrap one target; returns the report and its JSON entry."""
     if target == "degrees":
-        rep = bootstrap_vertices(hist, rng, B=B, seed=args.seed)
+        rep = bootstrap_vertices(hist, rng, B=B, seed=args.seed,
+                                 threads=args.threads)
     else:
         if not args.xcells:
             raise ValueError("the edge bootstrap needs --xcells")
         matrix = load_xcells_tsv(args.xcells)
         inputs.append(args.xcells)
-        rep = bootstrap_edges(hist, matrix, dom, grid, B=B, seed=args.seed)
+        rep = bootstrap_edges(hist, matrix, dom, grid, B=B, seed=args.seed,
+                              threads=args.threads)
     return rep, {"sigma_s2": float(rep.sigma_s2),
                  "iterations": rep.iterations, "diverged": rep.diverged}
 
@@ -427,6 +430,7 @@ def _float_where(ok, need: str):
 
 _ALPHA = _float_where(lambda a: 1.0 < a < math.inf, "a finite number > 1")
 _CUTOFF = _float_where(lambda r: 1.0 <= r < math.inf, "a finite number >= 1")
+_EXPONENT = _float_where(lambda a: 0.0 < a < math.inf, "a finite number > 0")
 _WINDOW = _float_where(lambda w: _MIN_WINDOW <= w <= _MAX_WINDOW,
                        f"a log10 length from {_MIN_WINDOW} to {_MAX_WINDOW:.0f}")
 
@@ -434,7 +438,9 @@ _WINDOW = _float_where(lambda w: _MIN_WINDOW <= w <= _MAX_WINDOW,
 def _add_common(sub, out_flag):
     sub.add_argument("--threads", type=_positive_int,
                      default=os.cpu_count() or 1,
-                     help="threads for theory multiplicity (default: cores)")
+                     help="threads for theory multiplicity, worker processes "
+                          "for the bootstraps (default: cores); data outputs "
+                          "do not depend on it")
     sub.add_argument("--verify", action="store_true",
                      help="re-derive outputs and byte-compare them")
     if out_flag == "out":
@@ -534,12 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     tshape = tsub.add_parser("rho-shape",
                              help="tail-ratio shape vs the edge model")
-    tshape.add_argument("--a2", type=float, required=True)
-    tshape.add_argument("--ratio-min", type=float, default=10.0)
-    tshape.add_argument("--ratio-max", type=float, default=1000.0)
+    tshape.add_argument("--a2", type=_EXPONENT, required=True)
+    tshape.add_argument("--ratio-min", type=_CUTOFF, default=10.0)
+    tshape.add_argument("--ratio-max", type=_CUTOFF, default=1000.0)
     tshape.add_argument("--d2-min", type=int, default=10)
     tshape.add_argument("--d2-max", type=int, default=100)
-    tshape.add_argument("--grid-size", type=int, default=5)
+    tshape.add_argument("--grid-size", type=_positive_int, default=5)
     _add_common(tshape, "out_prefix")
     tshape.set_defaults(func=_build_theory_rho_shape)
 
@@ -600,6 +606,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"pagl: {exc}", file=sys.stderr)
         return 2
+    except ChildProcessError as exc:
+        print(f"pagl: worker failure: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"pagl: i/o error: {exc}", file=sys.stderr)
         return 4

@@ -172,55 +172,65 @@ def gauss_newton(residual, jacobian, theta0, *, max_iter=100, max_halvings=30,
     with ``converged=False``.  Convergence is a relative step below
     ``step_tol``.  ``trace`` records the objective at the start and after
     every accepted step; it is non-increasing by construction.
+
+    ``residual`` may return a buffer it reuses; GN copies what it keeps.
+    ``jacobian(theta)`` is called only at the ``theta`` that ``residual``
+    was last called with, so it may reuse that evaluation's values.
+    Overflow and invalid-value warnings are silenced for the whole solve.
     """
+    square = None
 
     def evaluate(th):
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = np.atleast_1d(np.asarray(residual(th), dtype=np.float64))
-        if not np.all(np.isfinite(r)):
-            return math.inf, r
-        return float(np.mean(r * r)), r
+        nonlocal square
+        r = np.atleast_1d(np.asarray(residual(th), dtype=np.float64))
+        if square is None:
+            square = np.empty_like(r)
+        # np.mean's own arithmetic: a pairwise sum, then one division
+        f = float(np.multiply(r, r, out=square).sum()) / r.size
+        return (f if math.isfinite(f) else math.inf), r
 
-    theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
-    f, r = evaluate(theta)
-    trace = [f]
-    converged = False
-    iterations = 0
-    if math.isfinite(f):
-        for iterations in range(1, max_iter + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
+        f, r = evaluate(theta)
+        trace = [f]
+        converged = False
+        iterations = 0
+        if math.isfinite(f):
+            for iterations in range(1, max_iter + 1):
                 jac = np.asarray(jacobian(theta), dtype=np.float64)
-            if not np.all(np.isfinite(jac)):
-                break
-            delta = _solve_step(jac.T @ jac, jac.T @ r)
-            if delta is None:
-                break
-            scale = 1.0 + float(np.linalg.norm(theta))
-            if float(np.linalg.norm(delta)) <= step_tol * scale:
-                converged = True
-                break
-            step = 1.0
-            accepted = False
-            for _ in range(max_halvings + 1):
-                f_new, r_new = evaluate(theta - step * delta)
-                if f_new < f:
-                    theta = theta - step * delta
-                    f, r = f_new, r_new
-                    trace.append(f)
-                    accepted = True
+                if not np.all(np.isfinite(jac)):
                     break
-                step *= 0.5
-            if not accepted:
-                # No damped step decreases the objective.  When even the
-                # most-damped candidate is already below the step
-                # tolerance this is a stationary point, not divergence.
-                if (float(np.linalg.norm(delta)) * 0.5 ** max_halvings
-                        <= step_tol * scale):
+                # r is read here, before the line search reuses its buffer
+                delta = _solve_step(jac.T @ jac, jac.T @ r)
+                if delta is None:
+                    break
+                scale = 1.0 + float(np.linalg.norm(theta))
+                if float(np.linalg.norm(delta)) <= step_tol * scale:
                     converged = True
-                break  # otherwise: persistent non-decrease
-            if float(np.linalg.norm(step * delta)) <= step_tol * scale:
-                converged = True
-                break
+                    break
+                step = 1.0
+                accepted = False
+                for _ in range(max_halvings + 1):
+                    candidate = theta - step * delta
+                    f_new, r_new = evaluate(candidate)
+                    if f_new < f:
+                        theta = candidate
+                        f, r = f_new, r_new
+                        trace.append(f)
+                        accepted = True
+                        break
+                    step *= 0.5
+                if not accepted:
+                    # No damped step decreases the objective.  When even the
+                    # most-damped candidate is already below the step
+                    # tolerance this is a stationary point, not divergence.
+                    if (float(np.linalg.norm(delta)) * 0.5 ** max_halvings
+                            <= step_tol * scale):
+                        converged = True
+                    break  # otherwise: persistent non-decrease
+                if float(np.linalg.norm(step * delta)) <= step_tol * scale:
+                    converged = True
+                    break
     return GNResult(theta=theta, objective=f, iterations=iterations,
                     converged=converged, trace=trace)
 
@@ -261,16 +271,23 @@ class _PowerLaw:
 
     def solve(self, y, a0, lnb0, max_iter=100) -> GNResult:
         sqrt_y = np.sqrt(y)
+        model, r = np.empty_like(sqrt_y), np.empty_like(sqrt_y)
+        jac = np.empty((sqrt_y.size, 2))
 
-        def sqrt_model(th):
-            return np.exp(0.5 * (th[1] + self.c + (th[0] + self.k) * self.u))
+        def residual(th):
+            # sqrt_y - exp(0.5 * (th[1] + c + (th[0] + k) * u)), into buffers
+            np.add(self.c, th[1], out=model)
+            np.add(model, np.multiply(self.u, th[0] + self.k, out=r), out=model)
+            np.exp(np.multiply(model, 0.5, out=model), out=model)
+            return np.subtract(sqrt_y, model, out=r)
 
         def jacobian(th):
-            s = sqrt_model(th)
-            return np.column_stack([self._du * s, -0.5 * s])
+            # th was evaluated last, so model holds its sqrt-model values
+            np.multiply(self._du, model, out=jac[:, 0])
+            np.multiply(model, -0.5, out=jac[:, 1])
+            return jac
 
-        return gauss_newton(lambda th: sqrt_y - sqrt_model(th), jacobian,
-                            [a0, lnb0], max_iter=max_iter)
+        return gauss_newton(residual, jacobian, [a0, lnb0], max_iter=max_iter)
 
     def fit(self, y, a0, lnb0, max_iter) -> FitResult:
         gn = self.solve(y, a0, lnb0, max_iter)

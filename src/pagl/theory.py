@@ -287,8 +287,16 @@ def edge_model_shape_check(
     geometric grid of d1/d2 ratios.  The constant is the minimax choice
     (midpoint of the extreme ratio/shape quotients).  Pairs with small
     d1/d2 are allowed but lie outside the model's regime; expect large
-    deviations there.
+    deviations there.  ``a2`` must be finite and positive, the ratio
+    bounds finite and at least 1, and ``grid_size`` at least 1.
     """
+    if not 0.0 < a2 < math.inf:
+        raise ValueError(f"a2 must be finite and > 0, got {a2!r}")
+    if not all(1.0 <= r < math.inf for r in ratio_range):
+        raise ValueError(
+            f"ratio bounds must be finite and >= 1, got {ratio_range!r}")
+    if grid_size < 1:
+        raise ValueError(f"grid size must be >= 1, got {grid_size!r}")
     if pairs is None:
         d2s = np.unique(np.geomspace(d2_range[0], d2_range[1], grid_size).round().astype(int))
         rats = np.geomspace(ratio_range[0], ratio_range[1], grid_size)

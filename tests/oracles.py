@@ -4,7 +4,8 @@ They are slow, direct transcriptions of the definitions: the exact
 per-step attachment law of the chain, the chain's sampler run one step at
 a time, the Holme-Kim generator run one draw at a time, the ordered (both
 orientations) form of the edge-degree table with its row sums, and the
-strict two-sided edge tail evaluated cell by cell, and the text edge-list
+strict two-sided edge tail evaluated cell by cell (over degrees, and over
+bin indices at grid pairs), and the text edge-list
 reader, writer and simplification as per-line and lexsort code.  Dict
 views of the library's tables and graphs serve the small-case assertions.
 """
@@ -186,6 +187,14 @@ class TailEdgeCounts:
 
 def cumulative_edges(mat) -> TailEdgeCounts:
     return TailEdgeCounts(mat.d1, mat.d2, np.where(mat.d1 == mat.d2, 2 * mat.x, mat.x))
+
+
+def strict_tails_at(row_bin, col_bin, weights, i, j) -> np.ndarray:
+    """At each index pair (i, j), the sum of ``weights`` over the cells
+    whose row bin exceeds i and whose column bin exceeds j."""
+    cells = list(zip(row_bin.tolist(), col_bin.tolist(), weights.tolist()))
+    return np.array([sum(w for r, c, w in cells if r > a and c > b)
+                     for a, b in zip(i.tolist(), j.tolist())], np.float64)
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+\Z")

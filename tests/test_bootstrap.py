@@ -1,14 +1,18 @@
 import hashlib
+import os
+import time
 
 import numpy as np
 import pytest
 
-from pagl.bootstrap import bootstrap_edges, bootstrap_vertices
+from oracles import strict_tails_at
+from pagl.bootstrap import _TailBlock, bootstrap_edges, bootstrap_vertices
 from pagl.buckley_osthus import BOParams, generate_bo
-from pagl.fitting import DivergenceError, degree_range, pair_domain
+from pagl.fitting import DivergenceError, _PowerLaw, degree_range, pair_domain
 from pagl.graphs import simplify
 from pagl.stats import (
     DegreeHistogram,
+    _suffix2d,
     degree_histogram,
     edge_degree_matrix,
     log_grid,
@@ -30,9 +34,9 @@ def digest(rep) -> tuple:
 
 
 def test_byte_pin(bo_tables):
-    # recorded from the thread-pool implementation: the sequential loop
+    # recorded from the thread-pool implementation: the chunked loop
     # draws the same streams and refits to the same bytes, whatever the
-    # (ignored) thread count
+    # thread count
     hist, matrix, grid, rng = bo_tables
     vert = bootstrap_vertices(hist, rng, B=40, seed=3)
     edge = bootstrap_edges(hist, matrix, pair_domain(rng, 10.0), grid,
@@ -133,3 +137,86 @@ class TestEdgeBootstrap:
         assert valid.size >= 45
         assert 0.0 < rep.sigma_s2 < 0.25
         assert abs(float(np.median(valid)) - rep.original.a) < 0.1
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("B, threads", [(12, 2), (12, 3), (1, 4)])
+    def test_bytes_do_not_depend_on_workers(self, bo_tables, B, threads):
+        hist, matrix, grid, rng = bo_tables
+        dom = pair_domain(rng, 10.0)
+        for boot in (
+            lambda t: bootstrap_vertices(hist, rng, B=B, seed=3, threads=t),
+            lambda t: bootstrap_edges(hist, matrix, dom, grid, B=B, seed=5,
+                                      threads=t),
+        ):
+            assert digest(boot(threads)) == digest(boot(1))
+        assert_no_children()
+
+    @pytest.mark.parametrize("fault, status", [("raise", 1), ("exit", 0)])
+    def test_failed_worker_is_reported_and_reaped(self, bo_tables,
+                                                  monkeypatch, fault, status):
+        hist, _, _, rng = bo_tables
+        caller, refit = os.getpid(), _PowerLaw.refit
+
+        def worker_fails(law, y, start):
+            if os.getpid() != caller:
+                if fault == "raise":
+                    raise RuntimeError("worker fault")
+                os._exit(0)  # exits cleanly, sending nothing
+            return refit(law, y, start)
+
+        monkeypatch.setattr(_PowerLaw, "refit", worker_fails)
+        with pytest.raises(ChildProcessError,
+                           match=f"iterations 2..3 exited with status "
+                                 f"{status} after sending 0 of 2"):
+            bootstrap_vertices(hist, rng, B=6, seed=3, threads=3)
+        assert_no_children()
+
+    def test_caller_fault_kills_and_reaps_workers(self, bo_tables, monkeypatch):
+        hist, _, _, rng = bo_tables
+        caller = os.getpid()
+
+        def caller_fails(law, y, start):
+            if os.getpid() == caller:
+                raise RuntimeError("caller fault")
+            time.sleep(60)
+
+        monkeypatch.setattr(_PowerLaw, "refit", caller_fails)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="caller fault"):
+            bootstrap_vertices(hist, rng, B=4, seed=3, threads=2)
+        assert time.monotonic() - t0 < 30
+        assert_no_children()
+
+    def test_rejects_fewer_than_one_thread(self, bo_tables):
+        hist, _, _, rng = bo_tables
+        with pytest.raises(ValueError, match="at least 1 thread"):
+            bootstrap_vertices(hist, rng, B=4, threads=0)
+
+
+class TestTailBlock:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_grid(self, seed):
+        gen = np.random.default_rng(seed)
+        k = int(gen.integers(2, 12))
+        cells = int(gen.integers(1, 60))
+        row_bin = gen.integers(0, k + 1, cells)
+        col_bin = gen.integers(0, k + 1, cells)
+        row_bin[0] = col_bin[0] = k  # a category in the top bin
+        weights = gen.integers(1, 1000, cells)
+        pairs = int(gen.integers(1, 20))
+        i = gen.integers(0, k, pairs)
+        j = gen.integers(0, k, pairs)
+        i[0] = j[-1] = 0  # the domain touches grid row and column 0
+        full = np.bincount(row_bin * (k + 1) + col_bin, weights=weights,
+                           minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
+        expected = _suffix2d(full)[1:, 1:][i, j]
+        tails = _TailBlock(row_bin, col_bin, i, j).tails(weights)
+        assert tails.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(
+            tails, strict_tails_at(row_bin, col_bin, weights, i, j))

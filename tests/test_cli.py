@@ -10,6 +10,7 @@ import pytest
 
 import pagl
 from pagl.cli import main
+from pagl.fitting import _PowerLaw
 from pagl.graphs import load_binary, load_edge_list
 
 
@@ -329,6 +330,43 @@ def run_limited(*argv):
     return proc.returncode, proc.stderr
 
 
+class TestBootstrapWorkers:
+    """``--threads`` sets the bootstrap's worker processes, never its bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bootstrap", "--target", "edges", "--iterations", 2],
+        ["fit", "--bootstrap", 5],
+    ], ids=["bootstrap-B2", "fit-B5"])
+    def test_outputs_do_not_depend_on_threads(self, pipeline, tmp_path, argv):
+        outputs = []
+        for threads in (1, 3):
+            out = tmp_path / f"T{threads}"
+            assert run(*argv, *tables(pipeline), "--threads", threads,
+                       "--out-prefix", out) == 0
+            outputs.append({p.name.split(".", 1)[1]: p.read_bytes()
+                            for p in tmp_path.glob(f"T{threads}.*")
+                            if not p.name.endswith(".manifest.json")})
+        assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+
+    def test_worker_failure_is_4(self, pipeline, tmp_path, monkeypatch, capsys):
+        caller, refit = os.getpid(), _PowerLaw.refit
+
+        def worker_fails(law, y, start):
+            if os.getpid() != caller:
+                raise RuntimeError("worker fault")
+            return refit(law, y, start)
+
+        monkeypatch.setattr(_PowerLaw, "refit", worker_fails)
+        assert run("bootstrap", "--target", "degrees", *tables(pipeline),
+                   "--iterations", 4, "--threads", 2,
+                   "--out-prefix", tmp_path / "W") == 4
+        err = capsys.readouterr().err
+        assert "pagl: worker failure: bootstrap worker" in err
+        assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestOversizedInputs:
     def test_gds_degree_cap(self, tmp_path):
         rc, err = run_limited("generate", "--model", "gds", "--gamma", 1.5,
@@ -366,6 +404,7 @@ def tables(root):
 
 
 MULTIPLICITY = ["theory", "multiplicity", "--a", 0.5, "--m", 2]
+RHO_SHAPE = ["theory", "rho-shape", "--a2", 0.5]
 
 
 class TestCountsBelowOne:
@@ -395,11 +434,19 @@ class TestCountsBelowOne:
         (lambda r: ["fit", *tables(r), "--alpha", "inf"], "--alpha"),
         (lambda r: ["analyze", "--graph", r / "g.tsv", "--alpha", "inf"],
          "--alpha"),
+        *[(lambda r, v=v: ["theory", "rho-shape", "--a2", v], "--a2")
+          for v in ("inf", "nan", "0")],
+        *[(lambda r, f=f, v=v: [*RHO_SHAPE, f, v], f)
+          for f, v in (("--ratio-min", "nan"), ("--ratio-min", "inf"),
+                       ("--ratio-max", "inf"), ("--ratio-min", "0.5"),
+                       ("--grid-size", "0"))],
     ], ids=["iterations-neg", "iterations-0", "bootstrap-neg", "bootstrap-0",
             "samples-neg", "samples-0", "one-size", "threads-0",
             "window-inf", "window-1e300", "window-nan", "window-0.5",
             "bootstrap-window-inf", "ratio-cutoff-0.5", "ratio-cutoff-nan",
-            "fit-alpha-inf", "analyze-alpha-inf"])
+            "fit-alpha-inf", "analyze-alpha-inf", "a2-inf", "a2-nan", "a2-0",
+            "ratio-min-nan", "ratio-min-inf", "ratio-max-inf",
+            "ratio-min-0.5", "grid-size-0"])
     def test_exit_2(self, pipeline, tmp_path, argv, flag):
         rc, err = run_limited(*argv(pipeline),
                               "--out-prefix", tmp_path / "Z")

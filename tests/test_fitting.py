@@ -169,6 +169,39 @@ class TestGaussNewton:
         assert res.iterations == 1
 
 
+    def test_reused_residual_buffer(self):
+        # a residual may return one buffer that it overwrites, and the
+        # Jacobian is asked only at the theta evaluated last
+        x = np.linspace(0.0, 2.0, 50)
+        y = 3.0 * np.exp(-1.3 * x) + 0.01 * np.sin(7.0 * x)
+        buf = np.empty_like(x)
+        evaluated = []
+
+        def fresh(th):
+            return y - th[0] * np.exp(th[1] * x)
+
+        def reused(th):
+            evaluated.append(th.tobytes())
+            return np.subtract(y, th[0] * np.exp(th[1] * x), out=buf)
+
+        def jacobian(th):
+            e = np.exp(th[1] * x)
+            return np.column_stack([-e, -th[0] * x * e])
+
+        def checked(th):
+            assert th.tobytes() == evaluated[-1]
+            return jacobian(th)
+
+        a = gauss_newton(fresh, jacobian, [50.0, 4.0])
+        b = gauss_newton(reused, checked, [50.0, 4.0])
+        assert a.converged and a.iterations > 3
+        assert len(evaluated) > a.iterations + 1  # the line search halved
+        assert a.theta.tobytes() == b.theta.tobytes()
+        assert (repr(a.objective), a.iterations) == (repr(b.objective),
+                                                     b.iterations)
+        assert list(map(repr, a.trace)) == list(map(repr, b.trace))
+
+
 class TestFitDegree:
     @pytest.mark.parametrize("a_true", [0.05, 0.3, 1.0, 2.0, 3.0])
     def test_zero_residual_recovery(self, a_true):

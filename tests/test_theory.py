@@ -183,6 +183,18 @@ class TestShapeCheck:
         assert near.max_rel_deviation > far.max_rel_deviation
 
 
+    @pytest.mark.parametrize("a2, kwargs", [
+        (math.inf, {}), (math.nan, {}), (0.0, {}),
+        (0.5, {"ratio_range": (math.nan, 10.0)}),
+        (0.5, {"ratio_range": (10.0, math.inf)}),
+        (0.5, {"ratio_range": (0.5, 10.0)}),
+        (0.5, {"grid_size": 0}),
+    ])
+    def test_rejects_bad_parameters(self, a2, kwargs):
+        with pytest.raises(ValueError):
+            edge_model_shape_check(a2, **kwargs)
+
+
 class TestMultiplicityScaling:
     def test_sublinear_growth(self):
         rep = multiplicity_scaling_report(
