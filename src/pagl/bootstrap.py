@@ -33,9 +33,9 @@ from .fitting import (
     PairDomain,
     _degree_law,
     _edge_law,
+    _fit_rho,
     _pair_index,
     fit_degree,
-    fit_edges,
 )
 from .stats import (
     DegreeHistogram,
@@ -44,7 +44,6 @@ from .stats import (
     _suffix2d,
     _tail_sums,
     cumulative_degree,
-    rho_surface,
 )
 
 __all__ = ["BootstrapReport", "bootstrap_vertices", "bootstrap_edges"]
@@ -215,13 +214,14 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
                     seed: int = 0, threads: int = 1) -> BootstrapReport:
     """Resample the edge degree-pair multiset and refit the edge model B
     times against the original degree tails, the iterations split over
-    ``threads`` processes."""
-    _check(B, threads)
-    surface = rho_surface(hist, matrix, grid)
-    original = fit_edges(surface, domain)
-    if not original.converged:
-        raise DivergenceError("edge fit on the original data did not converge")
+    ``threads`` processes.
 
+    The original fit reads its edge tails from the same block of bins as
+    the refits, and its degree tails from the histogram, so no dense
+    surface is built; the sums are integers, so it is ``fit_edges`` on
+    ``rho_surface(hist, matrix, grid)`` bit for bit.
+    """
+    _check(B, threads)
     points = grid.points
     k = points.size
     size = (k + 1) * (k + 1)
@@ -231,15 +231,23 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
     # first; an edge drawn from a category adds its weight to the bin
     keys, category = np.unique(matrix.ordered_weight() * size + flat,
                                return_inverse=True)
-    p = np.bincount(category, weights=matrix.x)
-    p /= p.sum()
+    cat_edges = np.bincount(category, weights=matrix.x)
 
     # domain pairs satisfy d1 > d2, so the needed tail entries sit at
     # index pairs (i, j) with i > j and no symmetrization is required
     i_idx, j_idx = _pair_index(points, domain)
     block = _TailBlock(keys % size // (k + 1), keys % (k + 1), i_idx, j_idx)
     cat_weight = keys // size
-    denom = surface.cum_deg[i_idx].astype(np.float64) * surface.cum_deg[j_idx]
+    tails = cumulative_degree(hist)
+    denom = tails.at(domain.d1).astype(np.float64) * tails.at(domain.d2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.where(denom > 0, block.tails(cat_edges * cat_weight) / denom,
+                       np.nan)
+    original = _fit_rho(rho, domain)
+    if not original.converged:
+        raise DivergenceError("edge fit on the original data did not converge")
+
+    p = cat_edges / cat_edges.sum()
     law = _edge_law(domain)
     num_edges = matrix.total_edges
 

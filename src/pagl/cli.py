@@ -8,9 +8,9 @@ and inputs; the manifest is the only artifact carrying timing.  The
 ``--verify`` flag re-derives every data output and byte-compares it
 against what was written.
 
-Exit codes: 0 success, 2 validation or format error, 3 fit divergence
-(all fits requested by the command diverged), 4 I/O failure or a failed
-bootstrap worker process.
+Exit codes: 0 success, 2 validation or format error, or a size this
+machine cannot hold, 3 fit divergence (all fits requested by the command
+diverged), 4 I/O failure or a failed bootstrap worker process.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .stats import cumulative_degree, d_nn_profile, degree_histogram, \
 from .tables import format_rows, load_degrees_tsv, load_xcells_tsv, \
     surface_from_tables, write_degrees_tsv, write_dnn_tsv, write_edges_tsv, \
     write_xcells_tsv
-from .theory import TheoryParams, edge_model_shape_check, \
+from .theory import MAX_SHAPE_PAIRS, TheoryParams, edge_model_shape_check, \
     expected_degree_count, expected_edge_count, multiplicity_scaling_report
 
 
@@ -67,9 +67,9 @@ def _load_graph(path: str, override: str | None) -> Graph:
 
 
 def _text(writer, *args) -> bytes:
-    buf = io.StringIO()
+    buf = io.BytesIO()
     writer(*args, buf)
-    return buf.getvalue().encode()
+    return buf.getvalue()
 
 
 def _json_payload(obj) -> bytes:
@@ -128,8 +128,7 @@ def _build_generate(args):
 # analyze
 
 def _build_analyze(args):
-    g = _load_graph(args.graph, args.format)
-    s = simplify(g)
+    s = simplify(_load_graph(args.graph, args.format))
     hist = degree_histogram(s)
     mat = edge_degree_matrix(s)
     deg = np.diff(s.indptr)
@@ -419,6 +418,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _grid_size(text: str) -> int:
+    """A grid size whose grid_size**2 pairs stay within MAX_SHAPE_PAIRS."""
+    size = _positive_int(text)
+    top = math.isqrt(MAX_SHAPE_PAIRS)
+    if size > top:
+        raise argparse.ArgumentTypeError(
+            f"need at most {top} (a {top} x {top} pair grid), got {text!r}")
+    return size
+
+
 def _float_where(ok, need: str):
     """An argparse type: a float for which ``ok`` holds."""
     def number(text: str) -> float:
@@ -543,9 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
     tshape.add_argument("--a2", type=_EXPONENT, required=True)
     tshape.add_argument("--ratio-min", type=_CUTOFF, default=10.0)
     tshape.add_argument("--ratio-max", type=_CUTOFF, default=1000.0)
-    tshape.add_argument("--d2-min", type=int, default=10)
-    tshape.add_argument("--d2-max", type=int, default=100)
-    tshape.add_argument("--grid-size", type=_positive_int, default=5)
+    tshape.add_argument("--d2-min", type=_positive_int, default=10)
+    tshape.add_argument("--d2-max", type=_positive_int, default=100)
+    tshape.add_argument("--grid-size", type=_grid_size, default=5,
+                        help="d2 and ratio grid points (at most "
+                             f"{math.isqrt(MAX_SHAPE_PAIRS)})")
     _add_common(tshape, "out_prefix")
     tshape.set_defaults(func=_build_theory_rho_shape)
 
@@ -605,6 +616,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"pagl: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"pagl: not enough memory: {exc}", file=sys.stderr)
         return 2
     except ChildProcessError as exc:
         print(f"pagl: worker failure: {exc}", file=sys.stderr)

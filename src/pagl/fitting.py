@@ -365,9 +365,14 @@ def fit_edges(surface: RhoSurface, domain: PairDomain, *, initial=None,
     diverged result when no sane starting point exists (e.g. all-zero
     data).
     """
+    y = surface.rho[_pair_index(surface.grid.points, domain)]
+    return _fit_rho(y, domain, initial=initial, max_iter=max_iter)
+
+
+def _fit_rho(y, domain: PairDomain, *, initial=None, max_iter=100) -> FitResult:
+    """:func:`fit_edges` on ``y``, the rho values at the domain's pairs."""
     if len(domain) == 0:
         raise ValueError("empty pair domain")
-    y = surface.rho[_pair_index(surface.grid.points, domain)]
     if np.any(np.isnan(y)):
         raise ValueError("rho is undefined on part of the pair domain")
     law = _edge_law(domain)

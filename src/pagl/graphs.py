@@ -10,8 +10,10 @@ Two on-disk formats are supported:
   ``#n <int>`` comment declares the vertex count (otherwise ``1 + max id``).
   Ids are ASCII decimals (an optional sign, then digits) below 2**32,
   separated by spaces or tabs; lines end at ``\n``, ``\r\n`` or ``\r``.
-  The whole file is read and written as arrays; only a file that fails
-  the array checks is scanned line by line, to name its first bad line;
+  The file is read whole, then checked and parsed one block of lines at
+  a time into a single id array, and written one block of edges at a
+  time; only a file that fails the array checks is scanned line by line,
+  to name its first bad line;
 * binary: magic ``PAGL``, version byte 1, then little-endian u64 vertex
   count, u64 edge count, and (u, v) u64 pairs.
 """
@@ -209,46 +211,41 @@ def _declared_n(comment: bytes, lineno=None):
     return n
 
 
-def _strip_comments(data: bytes):
-    """``data`` with every comment line emptied, and the declared count.
+def _strip_comments(block: bytes, declared_n):
+    """``block`` with every comment line emptied, and the declared count:
+    ``declared_n``, or if that is None the first ``#n`` header in ``block``.
 
-    None if a ``#`` sits inside a line of ids or the header is bad.
+    None if a ``#`` sits inside a line of ids or the header is bad.  A
+    block without comments is returned as it is, not copied.
     """
     pieces = []
-    declared_n = None
     pos = 0
-    hash_at = data.find(b"#")
+    hash_at = block.find(b"#")
     while hash_at >= 0:
-        start = data.rfind(b"\n", 0, hash_at) + 1
-        if data[start:hash_at].strip():
+        start = block.rfind(b"\n", 0, hash_at) + 1
+        if block[start:hash_at].strip():
             return None
-        end = data.find(b"\n", hash_at)
-        end = len(data) if end < 0 else end
+        end = block.find(b"\n", hash_at)
+        end = len(block) if end < 0 else end
         if declared_n is None:
             try:
-                declared_n = _declared_n(data[hash_at:end])
+                declared_n = _declared_n(block[hash_at:end])
             except GraphFormatError:
                 return None
-        pieces.append(data[pos:start])
+        pieces.append(block[pos:start])
         pos = end
-        hash_at = data.find(b"#", end)
+        hash_at = block.find(b"#", end)
     if not pieces:
-        return data, None
-    pieces.append(data[pos:])
+        return block, declared_n
+    pieces.append(block[pos:])
     return b"".join(pieces), declared_n
 
 
-def _parse(data: bytes):
-    """(declared n, (E, 2) ids) of a valid edge list, else None.
-
-    Whole-array: every field must be a run of digits with an optional
-    leading sign, every line must hold 0 or 2 fields, and every id must
-    lie in ``[0, MAX_VERTICES)``.
-    """
-    stripped = _strip_comments(data)
-    if stripped is None:
-        return None
-    body, declared_n = stripped
+def _block_ids(body: bytes):
+    """The ids of whole lines ``body`` (comments emptied, ``\\n`` line
+    ends), or None if they fail the array checks: every field must be a
+    run of digits with an optional leading sign, every line must hold 0
+    or 2 fields, and every id must lie in ``[0, MAX_VERTICES)``."""
     if body.translate(None, _FIELD_BYTES + _SPACE_BYTES):
         return None
     byte = np.frombuffer(body, np.uint8)
@@ -272,13 +269,52 @@ def _parse(data: bytes):
     if not ((per_line == 0) | (per_line == 2)).all():
         return None
     if is_newline.all():  # no fields
-        return declared_n, np.empty((0, 2), np.int64)
+        return np.empty(0, np.int64)
     # one value per field, now that every field is a signed run of digits
     # (np.fromstring would read a body of spaces alone as one 0)
     ids = np.fromstring(body, np.int64, sep=" ")
     if ids.min() < 0 or ids.max() >= MAX_VERTICES:
         return None
-    return declared_n, ids.reshape(-1, 2)
+    return ids
+
+
+_PARSE_BLOCK = 1 << 18  # bytes of whole lines checked and parsed per pass
+
+
+def _one_newline(data: bytes) -> bytes:
+    """``data`` with ``\\r\\n`` and ``\\r`` line ends made ``\\n``."""
+    if b"\r" not in data:
+        return data
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def _parse(data: bytes):
+    """(declared n, (E, 2) ids) of a valid edge list, else None.
+
+    ``data`` is cut after a ``\\n`` into blocks of about ``_PARSE_BLOCK``
+    bytes, which never splits a line or a ``\\r\\n``; each block is checked
+    and read on its own, so the temporaries are block-sized.  The ids go
+    straight into one array sized for two ids per line.
+    """
+    lines = data.count(b"\n") + data.count(b"\r") + 1  # at least the lines
+    ids = np.empty(2 * lines, np.int64)
+    count = 0
+    declared_n = None
+    lo = 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _PARSE_BLOCK) + 1 or len(data)
+        block = data[lo:hi]
+        lo = hi
+        stripped = _strip_comments(_one_newline(block), declared_n)
+        if stripped is None:
+            return None
+        block, declared_n = stripped
+        values = _block_ids(block)
+        if values is None:
+            return None
+        ids[count:count + values.size] = values
+        count += values.size
+    return declared_n, ids[:count].reshape(-1, 2)
 
 
 def _raise_first_bad_line(data: bytes) -> None:
@@ -334,11 +370,9 @@ def load_edge_list(source) -> Graph:
     data = data.encode("ascii") if isinstance(data, str) else data
     if not data.isascii():
         data.decode("ascii")  # raises UnicodeDecodeError naming the byte
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     parsed = _parse(data)
     if parsed is None:
-        _raise_first_bad_line(data)
+        _raise_first_bad_line(_one_newline(data))
         raise GraphFormatError("malformed edge list")  # not reached: the scan raises
     declared_n, edges = parsed
     if declared_n is None:
@@ -346,7 +380,7 @@ def load_edge_list(source) -> Graph:
     if edges.size and edges.max() >= declared_n:
         # names the first line past the header; ids above a late header
         # that precede it are left to Graph
-        _raise_first_bad_line(data)
+        _raise_first_bad_line(_one_newline(data))
     return Graph(declared_n, edges)
 
 

@@ -93,18 +93,42 @@ class EdgeDegreeMatrix:
         return int(self.x.sum())
 
 
+_SLOT_BLOCK = 1 << 15  # CSR slots read per pass of edge_degree_matrix
+
+
 def edge_degree_matrix(g: SimpleGraph) -> EdgeDegreeMatrix:
-    deg = np.diff(g.indptr).astype(np.int64)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), deg)
-    upper = g.indices > src  # each edge once, from its smaller endpoint
-    a = deg[src[upper]]
-    b = deg[g.indices[upper]]
-    packed = (np.maximum(a, b) << np.int64(32)) | np.minimum(a, b)
-    keys, counts = np.unique(packed, return_counts=True)
+    deg = np.diff(g.indptr)
+    # one key per edge, from its smaller endpoint: max degree << 32 | min
+    # degree, filled from the rows of about _SLOT_BLOCK slots at a time
+    keys = np.empty(g.num_edges, np.int64)
+    filled = 0
+    v = 0
+    while v < g.n:
+        w = int(np.searchsorted(g.indptr, g.indptr[v] + _SLOT_BLOCK, "right"))
+        w = min(max(w - 1, v + 1), g.n)
+        dst = g.indices[g.indptr[v]:g.indptr[w]]
+        src = np.repeat(np.arange(v, w), deg[v:w])
+        upper = dst > src
+        a = deg[src[upper]]
+        b = deg[dst[upper]]
+        out = keys[filled:filled + a.size]
+        np.maximum(a, b, out=out)
+        out <<= 32
+        out |= np.minimum(a, b, out=a)
+        filled += a.size
+        v = w
+    keys.sort()
+    # a cell is a run of equal keys; find the runs by an adjacent difference
+    first = np.empty(keys.shape, bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    cells = keys[starts]
     return EdgeDegreeMatrix(
-        d1=(keys >> np.int64(32)),
-        d2=(keys & np.int64(0xFFFFFFFF)),
-        x=counts.astype(np.int64),
+        d1=cells >> 32,
+        d2=cells & 0xFFFFFFFF,
+        x=np.diff(starts, append=keys.size),
     )
 
 

@@ -8,16 +8,17 @@ Each table is a header line, then one tab-separated row per entry:
 * dnn: ``d dnn`` (:class:`NeighborDegreeProfile`);
 * xcells: ``d1 d2 x`` (:class:`EdgeDegreeMatrix`, row for row).
 
-Tables are written and read a whole column at a time.  Floats are written
-with ``repr``, so they read back bit for bit.  Readers raise ValueError,
-naming the file, for a wrong header, a row with the wrong number of
-fields, a value the table cannot hold, or rows that are repeated, out of
-order, or inconsistent with one another.
+Tables are written and read one block of rows at a time, so the memory
+a table takes beyond its arrays does not grow with its length.  Floats
+are written with ``repr``, so they read back bit for bit.  Readers raise
+ValueError, naming the file, for a wrong header, a row with the wrong
+number of fields, a value the table cannot hold, or rows that are
+repeated, out of order, or inconsistent with one another.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -43,6 +44,9 @@ EDGES_HEADER = "d1\td2\tX\tXcum\trho"
 DNN_HEADER = "d\tdnn"
 XCELLS_HEADER = "d1\td2\tx"
 
+_ROW_BLOCK = 1 << 14  # table rows formatted or parsed per pass
+_DTYPES = {"i": np.int64, "f": np.float64}
+
 
 # ---------------------------------------------------------------------------
 # writing
@@ -51,10 +55,37 @@ def _field(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _strings(column):
-    if isinstance(column, np.ndarray):
-        return map(repr if column.dtype.kind == "f" else str, column.tolist())
-    return map(_field, column)
+def _format_block(columns) -> str:
+    """Row i of every column, tab-separated, one line per row.
+
+    A numpy column is formatted by its dtype (``repr`` for floats, ``str``
+    otherwise), a sequence item by item; all rows go through one ``%``.
+    """
+    specs, values = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            kind = column.dtype.kind
+            specs.append("%r" if kind == "f" else "%d" if kind in "iu" else "%s")
+            values.append(column.tolist())
+        else:
+            specs.append("%s")
+            values.append(map(_field, column))
+    line = "\t".join(specs) + "\n"
+    return (line * len(columns[0])) % tuple(chain.from_iterable(zip(*values)))
+
+
+def _slices(columns):
+    """``columns`` cut into blocks of ``_ROW_BLOCK`` rows."""
+    sizes = {len(column) for column in columns}
+    if len(sizes) > 1:
+        raise ValueError(f"columns differ in length: {sorted(sizes)}")
+    for lo in range(0, sizes.pop() if sizes else 0, _ROW_BLOCK):
+        yield [column[lo:lo + _ROW_BLOCK] for column in columns]
+
+
+def _lines(header: str, blocks):
+    yield header + "\n"
+    yield from map(_format_block, blocks)
 
 
 def format_rows(header: str, *columns) -> str:
@@ -63,13 +94,14 @@ def format_rows(header: str, *columns) -> str:
     Floats are written with ``repr`` and everything else with ``str``; a
     numpy column is formatted by its dtype, a sequence item by item.
     """
-    rows = map("\t".join, zip(*map(_strings, columns), strict=True))
-    return "\n".join(chain((header,), rows)) + "\n"
+    return "".join(_lines(header, _slices(columns)))
 
 
-def _write(sink, text: str) -> None:
+def _write(sink, header: str, blocks) -> None:
+    """Write ``header`` and the rows of every block of columns to ``sink``
+    (a path, or a text or byte stream), one block at a time."""
     with _open_stream(sink, "w") as stream:
-        stream.write(text)
+        stream.writelines(_lines(header, blocks))
 
 
 def write_degrees_tsv(h: DegreeHistogram, sink) -> None:
@@ -78,57 +110,102 @@ def write_degrees_tsv(h: DegreeHistogram, sink) -> None:
     d, c = h.degrees, h.counts
     if h.isolated:
         d, c = np.append(0, d), np.append(h.isolated, c)
-    _write(sink, format_rows(DEGREES_HEADER, d, c, cumulative_degree(h).at(d)))
+    _write(sink, DEGREES_HEADER, _slices((d, c, cumulative_degree(h).at(d))))
+
+
+def _edge_rows(surface: RhoSurface):
+    """The edges table's columns, a block of grid rows at a time."""
+    points = surface.grid.points
+    k = points.size
+    step = max(1, _ROW_BLOCK // max(k, 1))
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        # pairs d1 >= d2 where rho is defined, row-major
+        a, b = np.nonzero(np.tril(~np.isnan(surface.rho[lo:hi, :hi]), lo))
+        a += lo
+        yield (points[a], points[b], surface.x_exact[a, b],
+               surface.cum_edges[a, b], surface.rho[a, b])
 
 
 def write_edges_tsv(surface: RhoSurface, sink) -> None:
     """Rows ``d1<TAB>d2<TAB>X<TAB>Xcum<TAB>rho`` over grid pairs d1 >= d2
     where rho is defined, row-major; X doubles the diagonal."""
-    points = surface.grid.points
-    a, b = np.tril_indices(points.size)
-    keep = ~np.isnan(surface.rho[a, b])
-    a, b = a[keep], b[keep]
-    _write(sink, format_rows(EDGES_HEADER, points[a], points[b],
-                             surface.x_exact[a, b], surface.cum_edges[a, b],
-                             surface.rho[a, b]))
+    _write(sink, EDGES_HEADER, _edge_rows(surface))
 
 
 def write_dnn_tsv(profile: NeighborDegreeProfile, sink) -> None:
     """Rows ``d<TAB>dnn`` over degrees with at least one edge."""
-    _write(sink, format_rows(DNN_HEADER, profile.d, profile.dnn))
+    _write(sink, DNN_HEADER, _slices((profile.d, profile.dnn)))
 
 
 def write_xcells_tsv(mat: EdgeDegreeMatrix, sink) -> None:
     """Rows ``d1<TAB>d2<TAB>x``: the matrix's cells, plain edge counts."""
-    _write(sink, format_rows(XCELLS_HEADER, mat.d1, mat.d2, mat.x))
+    _write(sink, XCELLS_HEADER, _slices((mat.d1, mat.d2, mat.x)))
 
 
 # ---------------------------------------------------------------------------
 # reading
 
+def _row_blocks(stream, name: str, header: str, kinds: str):
+    """The rows of the table in ``stream``, a block of up to ``_ROW_BLOCK``
+    lines at a time: per block, one array per character of ``kinds``
+    (``i`` int64, ``f`` float64).  Blank lines are skipped.
+
+    A row with the wrong number of fields raises at its line, ahead of
+    any value np.loadtxt rejects, and np.loadtxt's message counts its
+    rows from the top of the table, as if the table were read whole.
+    """
+    found = stream.readline().removesuffix("\n")
+    if found != header:
+        raise ValueError(f"{name}: expected header {header!r}, found {found!r}")
+    dtype = [(f"c{j}", _DTYPES[k]) for j, k in enumerate(kinds)]
+    line = 2  # the number of the block's first line
+    rows = 0  # the data rows before the block
+    failed = None  # (rows before, lines, error) of the first rejected block
+    while lines := list(islice(stream, _ROW_BLOCK)):
+        tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
+        odd = np.flatnonzero(tabs != len(kinds) - 1).tolist()
+        for i in odd:
+            row = lines[i].removesuffix("\n")
+            if row:
+                raise ValueError(f"{name}:{line + i}: malformed row {row!r}")
+        line += len(lines)
+        if failed or len(odd) == len(lines):
+            continue
+        try:
+            columns = np.loadtxt(lines, dtype=dtype, delimiter="\t",
+                                 comments=None, ndmin=1, unpack=True)
+        except ValueError as exc:
+            failed = rows, lines, exc
+            continue
+        rows += columns[0].size
+        yield columns
+    if failed:
+        # loadtxt numbers the rows it reads, so parse the block again
+        # behind as many valid rows as the table holds before it
+        before, lines, exc = failed
+        zeros = "\t".join("0" * len(kinds))
+        try:
+            np.loadtxt(chain(repeat(zeros, before), lines), dtype=dtype,
+                       delimiter="\t", comments=None, ndmin=1)
+        except ValueError as again:
+            exc = again
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _name(stream) -> str:
+    return getattr(stream, "name", "<stream>")
+
+
 def _read_table(source, header: str, kinds: str):
     """The file's name and its columns, one array per character of
     ``kinds`` (``i`` int64, ``f`` float64); blank lines are skipped."""
     with _open_stream(source, "r") as stream:
-        name = getattr(stream, "name", "<stream>")
-        lines = stream.read().split("\n")
-    if lines[0] != header:
-        raise ValueError(f"{name}: expected header {header!r}, found {lines[0]!r}")
-    body = lines[1:]
-    tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
-    odd = np.flatnonzero(tabs != len(kinds) - 1).tolist()
-    for i in odd:
-        if body[i]:
-            raise ValueError(f"{name}:{i + 2}: malformed row {body[i]!r}")
-    dtypes = [{"i": np.int64, "f": np.float64}[k] for k in kinds]
-    if len(odd) == len(body):  # no rows
-        return name, [np.empty(0, t) for t in dtypes]
-    try:
-        return name, np.loadtxt(
-            body, dtype=[(f"c{j}", t) for j, t in enumerate(dtypes)],
-            delimiter="\t", comments=None, ndmin=1, unpack=True)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        name = _name(stream)
+        blocks = list(_row_blocks(stream, name, header, kinds))
+    if not blocks:
+        return name, [np.empty(0, _DTYPES[k]) for k in kinds]
+    return name, [np.concatenate(column) for column in zip(*blocks)]
 
 
 def _require(name: str, ok: np.ndarray, complaint) -> None:
@@ -166,21 +243,35 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
     itself is recomputed from ``--alpha`` and the histogram's maximum
     degree, so the table must come from the same alpha.
     """
-    name, (d1, d2, x, xcum, rho) = _read_table(edges_path, EDGES_HEADER, "iiiif")
     points = grid.points
     k = points.size
-    (i, j), on_grid = _grid_index(points, np.stack([d1, d2]))
-    _require(name, on_grid.all(axis=0),
-             lambda r: f"degree pair ({d1[r]}, {d2[r]}) is not on the "
-                       f"alpha grid; pass the --alpha used by analyze")
-    _require(name, np.isfinite(rho),
-             lambda r: f"rho {rho[r]!r} at ({d1[r]}, {d2[r]}) is not finite")
     cum_edges = np.zeros((k, k), dtype=np.int64)
     x_exact = np.zeros((k, k), dtype=np.int64)
     full_rho = np.full((k, k), np.nan)
-    for full, values in ((x_exact, x), (cum_edges, xcum), (full_rho, rho)):
-        full[i, j] = values
-        full[j, i] = values
+    # the first complaint of each kind, raised once the table is read
+    off_grid = not_finite = None
+    with _open_stream(edges_path, "r") as stream:
+        name = _name(stream)
+        for d1, d2, x, xcum, rho in _row_blocks(stream, name, EDGES_HEADER,
+                                                 "iiiif"):
+            (i, j), on_grid = _grid_index(points, np.stack([d1, d2]))
+            on_grid = on_grid.all(axis=0)
+            if off_grid is None and not on_grid.all():
+                r = int(np.argmin(on_grid))
+                off_grid = (f"degree pair ({d1[r]}, {d2[r]}) is not on the "
+                            f"alpha grid; pass the --alpha used by analyze")
+            finite = np.isfinite(rho)
+            if not_finite is None and not finite.all():
+                r = int(np.argmin(finite))
+                not_finite = f"rho {rho[r]!r} at ({d1[r]}, {d2[r]}) is not finite"
+            if off_grid is None:
+                for full, values in ((x_exact, x), (cum_edges, xcum),
+                                     (full_rho, rho)):
+                    full[i, j] = values
+                    full[j, i] = values
+    for complaint in (off_grid, not_finite):
+        if complaint:
+            raise ValueError(f"{name}: {complaint}")
     return RhoSurface(grid=grid, cum_deg=cumulative_degree(hist).at(points),
                       cum_edges=cum_edges, rho=full_rho, x_exact=x_exact)
 

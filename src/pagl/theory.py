@@ -43,6 +43,7 @@ __all__ = [
     "ShapeCheckReport",
     "tail_ratio",
     "edge_model_shape_check",
+    "MAX_SHAPE_PAIRS",
 ]
 
 
@@ -272,6 +273,11 @@ class ShapeCheckReport:
     max_rel_deviation: float
 
 
+# the largest pair set edge_model_shape_check takes: one tail_ratio costs
+# about 2 ms at the default ranges, so this many take about 5 s
+MAX_SHAPE_PAIRS = 2500
+
+
 def edge_model_shape_check(
     a2: float,
     pairs=None,
@@ -288,19 +294,25 @@ def edge_model_shape_check(
     (midpoint of the extreme ratio/shape quotients).  Pairs with small
     d1/d2 are allowed but lie outside the model's regime; expect large
     deviations there.  ``a2`` must be finite and positive, the ratio
-    bounds finite and at least 1, and ``grid_size`` at least 1.
+    bounds finite and at least 1, the d2 bounds and ``grid_size`` at
+    least 1, and the pair set at most ``MAX_SHAPE_PAIRS`` long.
     """
     if not 0.0 < a2 < math.inf:
         raise ValueError(f"a2 must be finite and > 0, got {a2!r}")
     if not all(1.0 <= r < math.inf for r in ratio_range):
         raise ValueError(
             f"ratio bounds must be finite and >= 1, got {ratio_range!r}")
+    if not min(d2_range) >= 1:
+        raise ValueError(f"d2 bounds must be >= 1, got {d2_range!r}")
     if grid_size < 1:
         raise ValueError(f"grid size must be >= 1, got {grid_size!r}")
     if pairs is None:
         d2s = np.unique(np.geomspace(d2_range[0], d2_range[1], grid_size).round().astype(int))
         rats = np.geomspace(ratio_range[0], ratio_range[1], grid_size)
         pairs = [(int(round(r * d2)), int(d2)) for d2 in d2s for r in rats]
+    if len(pairs) > MAX_SHAPE_PAIRS:
+        raise ValueError(f"{len(pairs)} pairs exceed the limit of "
+                         f"{MAX_SHAPE_PAIRS}; use a smaller grid size")
     ratios = np.array([tail_ratio(d1, d2, a2) for d1, d2 in pairs])
     shape = np.array([
         (d1 + d2) ** (1.0 - a2) * float(d1) ** a2 * float(d2) ** a2 for d1, d2 in pairs

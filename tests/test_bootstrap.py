@@ -8,7 +8,8 @@ import pytest
 from oracles import strict_tails_at
 from pagl.bootstrap import _TailBlock, bootstrap_edges, bootstrap_vertices
 from pagl.buckley_osthus import BOParams, generate_bo
-from pagl.fitting import DivergenceError, _PowerLaw, degree_range, pair_domain
+from pagl.fitting import DivergenceError, _PowerLaw, degree_range, \
+    fit_edges, pair_domain
 from pagl.graphs import simplify
 from pagl.stats import (
     DegreeHistogram,
@@ -16,6 +17,7 @@ from pagl.stats import (
     degree_histogram,
     edge_degree_matrix,
     log_grid,
+    rho_surface,
 )
 
 
@@ -109,6 +111,26 @@ class TestVertexBootstrap:
 
 
 class TestEdgeBootstrap:
+    @pytest.mark.parametrize("lo, hi, cutoff", [(3, 100, 10.0), (2, 400, 1.0),
+                                                (5, 60, 3.0)])
+    def test_original_is_fit_edges_on_the_surface(self, bo_tables, lo, hi,
+                                                  cutoff):
+        hist, matrix, grid, _ = bo_tables
+        dom = pair_domain(degree_range(grid, lo, hi), cutoff)
+        want = fit_edges(rho_surface(hist, matrix, grid), dom)
+        got = bootstrap_edges(hist, matrix, dom, grid, B=1, seed=0).original
+        assert repr(got) == repr(want)
+
+    def test_original_needs_rho_on_the_domain(self, bo_tables):
+        hist, matrix, _, _ = bo_tables
+        # no vertex lies above the top degree, so rho is undefined there
+        grid = log_grid(1.01, 10 * int(hist.degrees[-1]))
+        dom = pair_domain(degree_range(grid, 1, int(grid.points[-1])), 10.0)
+        with pytest.raises(ValueError, match="rho is undefined"):
+            fit_edges(rho_surface(hist, matrix, grid), dom)
+        with pytest.raises(ValueError, match="rho is undefined"):
+            bootstrap_edges(hist, matrix, dom, grid, B=1)
+
     def test_shorter_run_is_a_prefix(self, bo_tables):
         hist, matrix, grid, rng = bo_tables
         dom = pair_domain(rng, 10.0)

@@ -390,6 +390,22 @@ class TestOversizedInputs:
         assert rc == 2 and "Traceback" not in err
         assert "line 2" in err and "32-bit id limit" in err
 
+    # inside the 32-bit limits, but larger than the 1 GiB cap allows
+    def test_declared_vertex_count_beyond_memory(self, tmp_path):
+        g = tmp_path / "g.tsv"
+        g.write_text("#n 4000000000\n0 1\n")
+        rc, err = run_limited("analyze", "--graph", g,
+                              "--out-prefix", tmp_path / "A")
+        assert rc == 2 and "Traceback" not in err
+        assert "pagl: not enough memory: " in err
+
+    def test_gds_support_beyond_memory(self, tmp_path):
+        rc, err = run_limited("generate", "--model", "gds", "--gamma", 1.5,
+                              "--n", 40_000, "--out", tmp_path / "g.bin")
+        assert rc == 2 and "Traceback" not in err
+        assert "pagl: not enough memory: " in err
+        assert not list(tmp_path.iterdir())
+
     def test_hk_edge_slots(self, tmp_path):
         rc, err = run_limited("generate", "--model", "hk", "--m", 12,
                               "--n", 100_000_000, "--out", tmp_path / "g.bin")
@@ -439,14 +455,17 @@ class TestCountsBelowOne:
         *[(lambda r, f=f, v=v: [*RHO_SHAPE, f, v], f)
           for f, v in (("--ratio-min", "nan"), ("--ratio-min", "inf"),
                        ("--ratio-max", "inf"), ("--ratio-min", "0.5"),
-                       ("--grid-size", "0"))],
+                       ("--grid-size", "0"), ("--grid-size", "100000"),
+                       ("--d2-min", "0"), ("--d2-min", "-5"),
+                       ("--d2-max", "0"))],
     ], ids=["iterations-neg", "iterations-0", "bootstrap-neg", "bootstrap-0",
             "samples-neg", "samples-0", "one-size", "threads-0",
             "window-inf", "window-1e300", "window-nan", "window-0.5",
             "bootstrap-window-inf", "ratio-cutoff-0.5", "ratio-cutoff-nan",
             "fit-alpha-inf", "analyze-alpha-inf", "a2-inf", "a2-nan", "a2-0",
             "ratio-min-nan", "ratio-min-inf", "ratio-max-inf",
-            "ratio-min-0.5", "grid-size-0"])
+            "ratio-min-0.5", "grid-size-0", "grid-size-100000", "d2-min-0",
+            "d2-min-neg", "d2-max-0"])
     def test_exit_2(self, pipeline, tmp_path, argv, flag):
         rc, err = run_limited(*argv(pipeline),
                               "--out-prefix", tmp_path / "Z")

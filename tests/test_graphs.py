@@ -147,6 +147,30 @@ class TestReaderMatchesLineOracle:
         assert got == want
 
 
+class TestParseBlocks:
+    """The reader checks and parses a file a block of whole lines at a
+    time; no cut shows in the Graph, the error or its line number."""
+
+    @given(FILES, st.integers(1, 12))
+    @example("#n 4\r\n0 1\r\n\r\n+2\t-0\r\n# c\n3 3", 1)
+    @example("0 1\r2 3\r\n\n#n 9\n4 5\n", 5)
+    @example("#n 3\n0 1\n\n1 2\n2 9\n", 4)
+    @example("0 1\n2 3\n4 5 6\n", 3)
+    @example("0 1\n2 +\n", 2)
+    def test_same_outcome(self, text, block):
+        data = text.encode()
+        want = outcome(lambda: load_edge_list_lines(text))
+        assert outcome(lambda: load_edge_list(io.BytesIO(data))) == want
+        with mock.patch.object(pagl.graphs, "_PARSE_BLOCK", block):
+            assert outcome(lambda: load_edge_list(io.BytesIO(data))) == want
+
+    def test_written_graph(self):
+        g = Graph(5000, np.random.default_rng(3).integers(0, 5000, (3000, 2)))
+        data = edge_list_bytes(g)
+        with mock.patch.object(pagl.graphs, "_PARSE_BLOCK", 5):
+            assert load_edge_list(io.BytesIO(data)) == g
+
+
 class TestWriterMatchesLineOracle:
     @pytest.mark.parametrize("g", [
         Graph(5, []),

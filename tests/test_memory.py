@@ -1,0 +1,75 @@
+"""Memory bounds of the analyze and fit layers on a generated BO graph.
+
+Each bound is the tracemalloc peak of one call as a multiple of the size
+of its file or of the arrays it returns, with about 25% headroom over the
+peak measured when the bound was set (BO a = 0.5, m = 5, n = 60000,
+seed 0, numpy 2.4).  Reading a file or a table whole, or building the
+whole of a table's text at once, takes several times more and fails the
+bound.
+"""
+
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pagl.buckley_osthus import BOParams, generate_bo
+from pagl.graphs import load_edge_list, save_edge_list, simplify
+from pagl.stats import degree_histogram, edge_degree_matrix, log_grid, \
+    rho_surface
+from pagl.tables import surface_from_tables, write_edges_tsv
+
+
+def peak(call, *args):
+    """``call(*args)``'s result and the most memory it held at once."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def bo(tmp_path_factory):
+    root = tmp_path_factory.mktemp("memory")
+    save_edge_list(generate_bo(BOParams(a=0.5, m=5, n=60_000, seed=0)),
+                   root / "g.tsv")
+    s = simplify(load_edge_list(root / "g.tsv"))
+    hist = degree_histogram(s)
+    grid = log_grid(1.01, int(s.degrees().max()))
+    surface = rho_surface(hist, edge_degree_matrix(s), grid)
+    write_edges_tsv(surface, root / "A.edges.tsv")
+    return root, s, hist, grid, surface
+
+
+def test_load_edge_list(bo):
+    root = bo[0]
+    path = root / "g.tsv"
+    # the file's bytes and 16 bytes of ids per line: 3.3 x the file
+    _, used = peak(load_edge_list, path)
+    assert used < 4.2 * path.stat().st_size
+
+
+def test_edge_degree_matrix(bo):
+    s = bo[1]
+    # one 8-byte key per edge and block-sized temporaries: 1.75 x the keys
+    _, used = peak(edge_degree_matrix, s)
+    assert used < 2.2 * 8 * s.num_edges
+
+
+def test_write_edges_tsv(bo):
+    surface = bo[4]
+    buf = io.BytesIO()
+    # the bytes written and one block of rows: 1.74 x the table
+    _, used = peak(write_edges_tsv, surface, buf)
+    assert used < 2.2 * len(buf.getvalue())
+
+
+def test_surface_from_tables(bo):
+    root, _, hist, grid, surface = bo
+    # the three K x K arrays kept and one block of rows: 1.55 x the arrays
+    back, used = peak(surface_from_tables, hist, root / "A.edges.tsv", grid)
+    kept = back.x_exact.nbytes + back.cum_edges.nbytes + back.rho.nbytes
+    assert used < 1.95 * kept
+    assert np.array_equal(back.rho, surface.rho, equal_nan=True)

@@ -1,15 +1,18 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pagl.tables
 from pagl.cli import main
 from pagl.graphs import Graph, simplify
 from pagl.stats import (
     DegreeHistogram,
     EdgeDegreeMatrix,
     NeighborDegreeProfile,
+    d_nn_profile,
     degree_histogram,
     edge_degree_matrix,
     log_grid,
@@ -119,6 +122,73 @@ class TestRoundTrip:
         assert np.array_equal(back.x_exact,
                               np.where(surf.defined(), surf.x_exact, 0))
         assert text_of(write_edges_tsv, back) == text
+
+
+class TestBlocks:
+    """Tables are written and read a block of rows at a time; neither the
+    bytes, the arrays nor the errors show where a block ends."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                    max_size=150),
+           st.sampled_from([1.01, 1.2, 2.0]), st.integers(1, 4))
+    def test_round_trip(self, edges, alpha, block):
+        s = simplify(Graph(30, edges))
+        hist, mat = degree_histogram(s), edge_degree_matrix(s)
+        grid = log_grid(alpha, max(int(s.degrees().max()), 1))
+        writers = (write_degrees_tsv, write_edges_tsv, write_dnn_tsv,
+                   write_xcells_tsv)
+        tables = (hist, rho_surface(hist, mat, grid), d_nn_profile(mat), mat)
+        want = [text_of(w, t) for w, t in zip(writers, tables)]
+        with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+            assert [text_of(w, t) for w, t in zip(writers, tables)] == want
+            back = (load_degrees_tsv(io.StringIO(want[0])),
+                    surface_from_tables(hist, io.StringIO(want[1]), grid),
+                    load_dnn_tsv(io.StringIO(want[2])),
+                    load_xcells_tsv(io.StringIO(want[3])))
+            assert [text_of(w, t) for w, t in zip(writers, back)] == want
+
+    XCELLS = ["d1\td2\tx", *(f"{d}\t1\t1" for d in range(1, 12))]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({11: "11"}, "<stream>:12: malformed row '11'"),
+        ({11: "11\t1\tx"}, "could not convert string 'x'"),
+        ({2: "2\t1\t1.5", 11: "11\t1"}, "<stream>:12: malformed row "),
+        ({2: "", 6: "", 7: "", 9: "9\t1\tx"}, "could not convert string 'x'"),
+    ], ids=["malformed-last", "value-last", "malformed-after-value",
+            "value-after-blank-lines"])
+    def test_errors_name_the_true_row(self, changes, message):
+        lines = list(self.XCELLS)
+        for i, line in changes.items():
+            lines[i] = line
+        text = "\n".join(lines) + "\n"
+
+        def error():
+            with pytest.raises(ValueError) as err:
+                load_xcells_tsv(io.StringIO(text))
+            return str(err.value)
+
+        whole = error()
+        assert message in whole
+        for block in (1, 3):
+            with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+                assert error() == whole
+
+    def test_edges_complaints_keep_their_order(self):
+        s = simplify(Graph(30, [(i, (3 * i + 1) % 30) for i in range(30)]
+                           + [(0, i) for i in range(2, 20)]))
+        hist = degree_histogram(s)
+        grid = log_grid(1.2, int(s.degrees().max()))
+        lines = text_of(write_edges_tsv,
+                        rho_surface(hist, edge_degree_matrix(s), grid)).splitlines()
+        assert len(lines) > 6
+        set_field(lines, 1, 4, "nan")  # first block: a rho that is not finite
+        set_field(lines, len(lines) - 1, 0, "7777")  # last: a pair off the grid
+        text = "\n".join(lines) + "\n"
+        for block in (2, 1 << 14):
+            with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+                with pytest.raises(ValueError, match="7777, .* not on the alpha"):
+                    surface_from_tables(hist, io.StringIO(text), grid)
 
 
 class TestReaderRejects:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import hyp2f1, zeta
 
+import pagl.theory
 from pagl.buckley_osthus import BOParams, generate_bo_samples
 from pagl.theory import (
+    MAX_SHAPE_PAIRS,
     TheoryParams,
     edge_model_shape_check,
     expected_degree_count,
@@ -193,6 +195,25 @@ class TestShapeCheck:
     def test_rejects_bad_parameters(self, a2, kwargs):
         with pytest.raises(ValueError):
             edge_model_shape_check(a2, **kwargs)
+
+    @pytest.mark.parametrize("d2_range", [(0, 100), (-5, 100), (10, 0)])
+    def test_rejects_d2_bounds_below_one(self, d2_range, recwarn):
+        with pytest.raises(ValueError, match="d2 bounds must be >= 1"):
+            edge_model_shape_check(0.5, d2_range=d2_range)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_size": math.isqrt(MAX_SHAPE_PAIRS) + 1, "d2_range": (10, 10**4)},
+        {"pairs": [(20, 2)] * (MAX_SHAPE_PAIRS + 1)},
+    ], ids=["grid", "pairs"])
+    def test_rejects_pair_sets_above_limit_before_any_ratio(self, kwargs,
+                                                            monkeypatch):
+        def no_ratio(*args):
+            raise AssertionError("tail_ratio called")
+
+        monkeypatch.setattr(pagl.theory, "tail_ratio", no_ratio)
+        with pytest.raises(ValueError, match="exceed the limit"):
+            edge_model_shape_check(0.5, **kwargs)
 
 
 class TestMultiplicityScaling:
