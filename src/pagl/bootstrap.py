@@ -13,19 +13,17 @@ categories (degree values, or degree-pair bins), which is exactly
 equivalent in distribution to drawing the items one by one and far
 cheaper.  Iteration i draws from the i-th spawned child of the master
 seed, so a report is reproducible and the estimates of B iterations are
-the first B of any longer run with the same seed.  The iterations are cut
-into ``threads`` contiguous chunks run by as many processes (see
-:func:`_refits`); the estimates do not depend on the cut.
+the first B of any longer run with the same seed, whatever number of
+worker processes (:func:`pagl._workers.map_seeds`) share the iterations.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import map_seeds
 from .fitting import (
     DegreeRange,
     DivergenceError,
@@ -70,76 +68,14 @@ class BootstrapReport:
         return float(np.sqrt(self.sigma_s2))
 
 
-def _check(B, threads):
+def _check(B):
     if B < 1:
         raise ValueError(f"bootstrap needs at least 1 iteration, got B={B}")
-    if threads < 1:
-        raise ValueError(f"bootstrap needs at least 1 thread, got {threads}")
 
 
-def _run_child(run, chunk, read, write):
-    """Send ``run(chunk)``'s bytes down ``write`` and exit, 1 on any error,
-    without returning into the caller's code."""
-    status = 1
-    try:
-        os.close(read)
-        with open(write, "wb") as pipe:
-            pipe.write(run(chunk).tobytes())
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _refits(one, B, seed, threads):
-    """``one(generator)`` for every iteration, as float64 in iteration order.
-
-    The B iterations are cut into ``min(threads, B)`` contiguous chunks.
-    This process runs the first; ``os.fork`` children run the others and
-    send their estimates back through a pipe, so nothing is pickled and
-    the children share the caller's pages.  Every child is reaped before
-    this returns or raises; one that fails or sends short data raises
-    ChildProcessError.  Without ``os.fork`` one chunk runs here.  Forking
-    is safe only from a process running no other thread.
-    """
-    seeds = np.random.SeedSequence(seed).spawn(B)
-
-    def run(chunk):
-        return np.fromiter((one(np.random.default_rng(s)) for s in chunk),
-                           np.float64, len(chunk))
-
-    parts = min(threads, B) if hasattr(os, "fork") else 1
-    cuts = [B * w // parts for w in range(parts + 1)]
-    running, pipes = [], []
-    try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child(run, seeds[lo:hi], read, write)
-            running.append(pid)
-            os.close(write)
-            pipes.append(open(read, "rb"))
-        chunks = [run(seeds[:cuts[1]])]
-        for lo, hi, pipe in zip(cuts[1:], cuts[2:], pipes):
-            data = pipe.read()
-            pid = running.pop(0)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status != 0 or len(data) != 8 * (hi - lo):
-                raise ChildProcessError(
-                    f"bootstrap worker for iterations {lo}..{hi - 1} exited "
-                    f"with status {status} after sending {len(data) // 8} "
-                    f"of {hi - lo} estimates")
-            chunks.append(np.frombuffer(data, np.float64))
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return np.concatenate(chunks)
-
-
-def _finish(target, original, estimates):
+def _finish(target, original, one, B, seed, threads):
+    """Run ``one`` for the B iterations and report their spread."""
+    estimates = map_seeds(one, np.random.SeedSequence(seed).spawn(B), threads)
     valid = estimates[~np.isnan(estimates)]
     if valid.size == 0:
         raise DivergenceError(f"all {estimates.size} bootstrap refits diverged")
@@ -158,7 +94,7 @@ def bootstrap_vertices(hist: DegreeHistogram, rng: DegreeRange, B: int = 1000,
                        seed: int = 0, threads: int = 1) -> BootstrapReport:
     """Resample vertices with replacement and refit the degree model B
     times, the iterations split over ``threads`` processes."""
-    _check(B, threads)
+    _check(B)
     original = fit_degree(cumulative_degree(hist), rng)
     if not original.converged:
         raise DivergenceError("degree fit on the original data did not converge")
@@ -176,7 +112,7 @@ def bootstrap_vertices(hist: DegreeHistogram, rng: DegreeRange, B: int = 1000,
             return np.nan
         return law.refit(y, original)
 
-    return _finish("degrees", original, _refits(one, B, seed, threads))
+    return _finish("degrees", original, one, B, seed, threads)
 
 
 class _TailBlock:
@@ -221,7 +157,7 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
     surface is built; the sums are integers, so it is ``fit_edges`` on
     ``rho_surface(hist, matrix, grid)`` bit for bit.
     """
-    _check(B, threads)
+    _check(B)
     points = grid.points
     k = points.size
     size = (k + 1) * (k + 1)
@@ -255,4 +191,4 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
         cnt = stream.multinomial(num_edges, p)
         return law.refit(block.tails(cnt * cat_weight) / denom, original)
 
-    return _finish("edges", original, _refits(one, B, seed, threads))
+    return _finish("edges", original, one, B, seed, threads)

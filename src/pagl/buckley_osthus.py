@@ -9,19 +9,20 @@ uniform-over-endpoints special case.
 
 Randomness comes from numpy's PCG64; batch generation derives one child
 stream per sample via SeedSequence.spawn, so sample k is reproducible in
-isolation.  Generation consumes fixed-size blocks of uniforms, and each
-block is resolved by whole-array numpy operations (see _resolve_block),
-so no per-step Python loop runs and threads overlap in numpy.
+isolation, and batches are spread over worker processes by
+:func:`pagl._workers.map_seeds`.  Generation consumes fixed-size blocks of
+uniforms, and each block is resolved by whole-array numpy operations (see
+_resolve_block), so no per-step Python loop runs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import map_seeds
 from .graphs import Graph
 
 __all__ = [
@@ -145,18 +146,16 @@ def generate_bo(params: BOParams) -> Graph:
 def generate_bo_samples(params: BOParams, num_samples: int, threads: int = 1) -> list:
     """Generate independent samples; sample k uses the k-th spawned stream.
 
-    Output order and content depend only on (params, num_samples), not on
-    ``threads``.
+    The samples are spread over ``threads`` worker processes; output order
+    and content depend only on (params, num_samples), not on ``threads``.
+    The samples' edge arrays are views into one stacked array.
     """
     if num_samples < 0:
         raise ValueError("num_samples must be non-negative")
     children = np.random.SeedSequence(params.seed).spawn(num_samples)
 
-    def one(child):
-        chain = generate_bo_chain(params.a, params.m * params.n, child)
-        return merge_blocks(chain, params.m)
+    def one(stream):
+        chain = generate_bo_chain(params.a, params.m * params.n, stream)
+        return merge_blocks(chain, params.m).edges
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, children))
-    return [one(child) for child in children]
+    return [Graph(params.n, e) for e in map_seeds(one, children, threads)]

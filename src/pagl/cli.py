@@ -10,7 +10,7 @@ against what was written.
 
 Exit codes: 0 success, 2 validation or format error, or a size this
 machine cannot hold, 3 fit divergence (all fits requested by the command
-diverged), 4 I/O failure or a failed bootstrap worker process.
+diverged), 4 I/O failure or a failed worker process.
 """
 
 from __future__ import annotations
@@ -447,9 +447,9 @@ _WINDOW = _float_where(lambda w: _MIN_WINDOW <= w <= _MAX_WINDOW,
 def _add_common(sub, out_flag):
     sub.add_argument("--threads", type=_positive_int,
                      default=os.cpu_count() or 1,
-                     help="threads for theory multiplicity, worker processes "
-                          "for the bootstraps (default: cores); data outputs "
-                          "do not depend on it")
+                     help="worker processes for theory multiplicity and the "
+                          "bootstraps (default: cores); data outputs do not "
+                          "depend on it")
     sub.add_argument("--verify", action="store_true",
                      help="re-derive outputs and byte-compare them")
     if out_flag == "out":

@@ -8,6 +8,9 @@ n * m*a*(a+1) * Gamma(m*a+a+1)/Gamma(m*a) * (d1+d2)**(1-a) / (d1*d2)**2,
 valid for d1/d2 large.  Lower-order corrections are deliberately not
 modeled; comparisons against these oracles use statistical tolerances.
 
+:func:`multiplicity_scaling_report` spreads the samples of each size n
+over worker processes, one :func:`pagl._workers.map_seeds` loop per n.
+
 Log-gamma is a self-contained Lanczos approximation (g = 7, 9
 coefficients, listed below) with the reflection formula below 1/2; it is
 accurate to better than 1e-12 relative over [1e-3, 1e9].
@@ -24,11 +27,11 @@ import when called, so that importing pagl does not load it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import map_seeds
 from .buckley_osthus import generate_bo_chain, merge_blocks
 from .graphs import count_multiplicities
 
@@ -175,26 +178,14 @@ def multiplicity_scaling_report(samples_per_n, n_list, a, m, seed=0, threads=1):
     if any(b <= c for b, c in zip(n_list[1:], n_list)):
         raise ValueError("n_list must be strictly increasing")
     base = np.random.SeedSequence(seed)
-    mean_loops = np.empty(len(n_list))
-    mean_multi = np.empty(len(n_list))
-
-    def one(args):
-        n, child = args
-        chain = generate_bo_chain(a, m * n, child)
-        rep = count_multiplicities(merge_blocks(chain, m))
-        return rep.loops, rep.multi_edges
-
+    mean_loops, mean_multi = np.empty((2, len(n_list)))
     for i, n in enumerate(n_list):
+        def one(stream, n=n):
+            rep = count_multiplicities(merge_blocks(generate_bo_chain(a, m * n, stream), m))
+            return rep.loops, rep.multi_edges
+
         children = base.spawn(1)[0].spawn(samples_per_n)
-        jobs = [(n, c) for c in children]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                counts = list(pool.map(one, jobs))
-        else:
-            counts = [one(j) for j in jobs]
-        loops, multi = zip(*counts)
-        mean_loops[i] = np.mean(loops)
-        mean_multi[i] = np.mean(multi)
+        mean_loops[i], mean_multi[i] = map_seeds(one, children, threads).mean(0)
 
     ln_n = np.log(np.asarray(n_list, dtype=np.float64))
     multi_slope = float(np.polyfit(ln_n, np.log(np.maximum(mean_multi, 1e-300)), 1)[0])

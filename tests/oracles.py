@@ -7,14 +7,18 @@ orientations) form of the edge-degree table with its row sums, and the
 strict two-sided edge tail evaluated cell by cell (over degrees, and over
 bin indices at grid pairs), and the text edge-list
 reader, writer and simplification as per-line and lexsort code.  Dict
-views of the library's tables and graphs serve the small-case assertions.
+views of the library's tables and graphs serve the small-case assertions,
+and :func:`assert_no_children` checks that no worker process outlived
+its call.
 """
 
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 
 from pagl.graphs import Graph, GraphFormatError, GraphValidationError, SimpleGraph
 
@@ -298,3 +302,9 @@ def simplify_lexsort(g: Graph) -> SimpleGraph:
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return SimpleGraph(g.n, indptr, dst)
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

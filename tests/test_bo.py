@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import AttachmentState, attachment_distribution, chain_targets
+from oracles import AttachmentState, assert_no_children, \
+    attachment_distribution, chain_targets
 from pagl import buckley_osthus
 from pagl.buckley_osthus import (
     BOParams,
@@ -186,6 +187,14 @@ class TestGenerate:
     def test_samples_thread_invariant(self):
         p = BOParams(a=0.5, m=2, n=300, seed=4)
         serial = generate_bo_samples(p, 6, threads=1)
-        threaded = generate_bo_samples(p, 6, threads=4)
-        assert serial == threaded
+        for threads in (2, 3, 4):
+            assert generate_bo_samples(p, 6, threads=threads) == serial
+            assert generate_bo_samples(p, 0, threads=threads) == []
+        assert_no_children()
         assert len({g.edges.tobytes() for g in serial}) == 6
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ValueError, match="at least 1 thread"):
+            generate_bo_samples(BOParams(a=0.5, m=2, n=30), 3, threads=threads)
+

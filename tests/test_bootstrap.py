@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import strict_tails_at
+from oracles import assert_no_children, strict_tails_at
 from pagl.bootstrap import _TailBlock, bootstrap_edges, bootstrap_vertices
 from pagl.buckley_osthus import BOParams, generate_bo
 from pagl.fitting import DivergenceError, _PowerLaw, degree_range, \
@@ -161,13 +161,8 @@ class TestEdgeBootstrap:
         assert abs(float(np.median(valid)) - rep.original.a) < 0.1
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestWorkers:
-    @pytest.mark.parametrize("B, threads", [(12, 2), (12, 3), (1, 4)])
+    @pytest.mark.parametrize("B, threads", [(12, 2), (12, 3), (12, 4), (1, 4)])
     def test_bytes_do_not_depend_on_workers(self, bo_tables, B, threads):
         hist, matrix, grid, rng = bo_tables
         dom = pair_domain(rng, 10.0)
@@ -216,9 +211,13 @@ class TestWorkers:
         assert_no_children()
 
     def test_rejects_fewer_than_one_thread(self, bo_tables):
-        hist, _, _, rng = bo_tables
-        with pytest.raises(ValueError, match="at least 1 thread"):
-            bootstrap_vertices(hist, rng, B=4, threads=0)
+        hist, matrix, grid, rng = bo_tables
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="at least 1 thread"):
+                bootstrap_vertices(hist, rng, B=4, threads=threads)
+            with pytest.raises(ValueError, match="at least 1 thread"):
+                bootstrap_edges(hist, matrix, pair_domain(rng, 10.0), grid,
+                                B=4, threads=threads)
 
 
 class TestTailBlock:

@@ -361,7 +361,7 @@ class TestBootstrapWorkers:
                    "--iterations", 4, "--threads", 2,
                    "--out-prefix", tmp_path / "W") == 4
         err = capsys.readouterr().err
-        assert "pagl: worker failure: bootstrap worker" in err
+        assert "pagl: worker failure: worker for iterations" in err
         assert "Traceback" not in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -475,13 +475,15 @@ class TestCountsBelowOne:
 
 
 class TestImportCost:
-    """scipy serves `theory rho-shape` alone; no other use of pagl loads it."""
+    """scipy serves `theory rho-shape` alone; no other use of pagl loads it.
+    pagl runs its workers as forked processes, so no thread pool is loaded."""
 
     def test_import(self):
-        code = "import sys, pagl, pagl.cli; print('scipy' in sys.modules)"
+        code = ("import sys, pagl, pagl.cli; "
+                "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+        assert proc.returncode == 0 and proc.stdout.strip() == "False False"
 
     def test_version(self):
         proc = subprocess.run(

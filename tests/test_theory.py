@@ -1,11 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.special import hyp2f1, zeta
 
 import pagl.theory
+from oracles import assert_no_children
 from pagl.buckley_osthus import BOParams, generate_bo_samples
+from pagl.cli import main
 from pagl.theory import (
     MAX_SHAPE_PAIRS,
     TheoryParams,
@@ -231,10 +234,40 @@ class TestMultiplicityScaling:
     def test_thread_invariant(self):
         args = (6, [300, 1200, 5000])
         one = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2, threads=1)
-        two = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2, threads=2)
-        for name in ("mean_loops", "mean_multi", "loop_fractions", "multi_fractions"):
-            assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
-        assert (one.multi_slope, one.loops_slope) == (two.multi_slope, two.loops_slope)
+        for threads in (2, 3, 4):
+            two = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2,
+                                              threads=threads)
+            for name in ("mean_loops", "mean_multi", "loop_fractions",
+                         "multi_fractions"):
+                assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
+            assert ((one.multi_slope, one.loops_slope)
+                    == (two.multi_slope, two.loops_slope))
+        assert_no_children()
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ValueError, match="at least 1 thread"):
+            multiplicity_scaling_report(2, [100, 200], a=0.5, m=1,
+                                        threads=threads)
+
+    def test_failed_worker_is_reported_and_reaped(self, monkeypatch, tmp_path,
+                                                  capsys):
+        caller, count = os.getpid(), pagl.theory.count_multiplicities
+
+        def worker_fails(g):
+            if os.getpid() != caller:
+                raise RuntimeError("worker fault")
+            return count(g)
+
+        monkeypatch.setattr(pagl.theory, "count_multiplicities", worker_fails)
+        with pytest.raises(ChildProcessError, match="exited with status 1"):
+            multiplicity_scaling_report(4, [100, 200], a=0.5, m=1, threads=2)
+        assert_no_children()
+        assert main(["theory", "multiplicity", "--a", "0.5", "--m", "1",
+                     "--n-list", "100,200", "--samples", "4", "--threads", "2",
+                     "--out-prefix", str(tmp_path / "M")]) == 4
+        assert "pagl: worker failure: worker for iterations" in capsys.readouterr().err
+        assert_no_children()
 
     def test_requires_a_below_one(self):
         with pytest.raises(ValueError):
