@@ -208,8 +208,13 @@ def _load_degrees(args):
     return hist, cumulative_degree(hist), grid
 
 
-def _bootstrap(args, target, hist, rng, dom, grid, B, inputs):
-    """Bootstrap one target; returns the report and its JSON entry."""
+def _bootstrap(args, target, hist, rng, dom, grid, B, inputs, edge_fit=None):
+    """Bootstrap one target; returns the report and its JSON entry.
+
+    ``edge_fit``, the entry of any edge fit to ``--edges``, must equal the
+    edge bootstrap's original fit to ``--xcells`` bit for bit, as it does
+    when both tables come from one analyze run.
+    """
     if target == "degrees":
         rep = bootstrap_vertices(hist, rng, B=B, seed=args.seed,
                                  threads=args.threads)
@@ -220,6 +225,12 @@ def _bootstrap(args, target, hist, rng, dom, grid, B, inputs):
         inputs.append(args.xcells)
         rep = bootstrap_edges(hist, matrix, dom, grid, B=B, seed=args.seed,
                               threads=args.threads)
+        fit = rep.original
+        if edge_fit and (edge_fit["a"], edge_fit["b"]) != (fit.a, fit.b):
+            raise ValueError(
+                f"--edges {args.edges} and --xcells {args.xcells} do not come "
+                f"from one analyze run: the edge fit gives a2={edge_fit['a']!r} "
+                f"on --edges but {float(fit.a)!r} on --xcells")
     return rep, {"sigma_s2": float(rep.sigma_s2),
                  "iterations": rep.iterations, "diverged": rep.diverged}
 
@@ -251,7 +262,7 @@ def _build_fit(args):
         for target, kind in (("degrees", "degree"), ("edges", "edge")):
             if report[kind]["converged"]:
                 boot[target] = _bootstrap(args, target, hist, rng, dom, grid,
-                                          args.bootstrap, inputs)[1]
+                                          args.bootstrap, inputs, edge_entry)[1]
             else:
                 boot[target] = {
                     "error": f"original {kind} fit did not converge"}
@@ -286,10 +297,11 @@ def _build_bootstrap(args):
         inputs.append(args.edges)
     else:
         surface = None
-    rng, dom, _fd, _fe, auto = _resolve_range(args, tails, surface, grid)
+    rng, dom, _fd, fe, auto = _resolve_range(args, tails, surface, grid)
 
+    edge_fit = _fit_entry(fe) if fe else None
     rep, entry = _bootstrap(args, args.target, hist, rng, dom, grid,
-                            args.iterations, inputs)
+                            args.iterations, inputs, edge_fit)
 
     table = format_rows(
         "iteration\testimate", [*range(rep.iterations), "sigma_s2"],

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._format import format_block
+
 __all__ = [
     "Graph",
     "SimpleGraph",
@@ -384,48 +386,33 @@ def load_edge_list(source) -> Graph:
     return Graph(declared_n, edges)
 
 
-_DIGITS_BLOCK = 1 << 14  # edges formatted per pass; keeps the digit table in cache
-
-
-def _format_ids(edges: np.ndarray, width: int) -> bytes:
-    """``u v\\n`` lines of ``edges`` (ids below 2**32, at most ``width`` digits)."""
-    rows = edges.shape[0]
-    cols = 2 * width + 2
-    table = np.empty((rows, cols), np.uint8)
-    keep = np.ones((rows, cols), bool)
-    table[:, width] = ord(" ")
-    table[:, -1] = ord("\n")
-    for side, first in ((0, 0), (1, width + 1)):
-        x = edges[:, side].astype(np.uint32)
-        for j in range(width - 1):
-            np.greater_equal(x, 10 ** (width - 1 - j), out=keep[:, first + j])
-        for j in range(first + width - 1, first - 1, -1):
-            q = x // 10
-            np.add(x - q * 10, ord("0"), out=table[:, j], casting="unsafe")
-            x = q
-    return table[keep].tobytes()
+_DIGITS_BLOCK = 1 << 14  # edges formatted per pass; keeps the byte table in cache
 
 
 def edge_list_bytes(g: Graph) -> bytes:
     """The text form of ``g``: an ``#n`` header then one ``u v`` line per edge."""
     edges = g.edges
     parts = [f"#n {g.n}\n".encode()]
-    if edges.size:
-        width = len(str(int(edges.max())))
-        for lo in range(0, edges.shape[0], _DIGITS_BLOCK):
-            parts.append(_format_ids(edges[lo:lo + _DIGITS_BLOCK], width))
+    for lo in range(0, edges.shape[0], _DIGITS_BLOCK):
+        block = edges[lo:lo + _DIGITS_BLOCK]
+        parts.append(format_block((block[:, 0], block[:, 1]), b" "))
     return b"".join(parts)
+
+
+def _write_bytes(sink, chunks) -> None:
+    """Write byte ``chunks`` to ``sink``: a path, a byte stream, or a text
+    stream (as ASCII text)."""
+    if isinstance(sink, io.TextIOBase):
+        sink.writelines(chunk.decode("ascii") for chunk in chunks)
+        sink.flush()
+        return
+    with _open_stream(sink, "wb") as stream:
+        stream.writelines(chunks)
 
 
 def save_edge_list(g: Graph, sink) -> None:
     """Write ``g`` as text: an ``#n`` header then one edge per line."""
-    data = edge_list_bytes(g)
-    if isinstance(sink, io.TextIOBase):
-        sink.write(data.decode("ascii"))
-        sink.flush()
-        return
-    with _open_stream(sink, "wb") as stream:
-        stream.write(data)
+    _write_bytes(sink, [edge_list_bytes(g)])
 
 
 def load_binary(source) -> Graph:

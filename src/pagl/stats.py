@@ -243,7 +243,12 @@ def _grid_index(points: np.ndarray, values: np.ndarray):
 
 
 def _suffix2d(h: np.ndarray) -> np.ndarray:
-    return h[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
+    """The 2-D suffix sums of ``h``, written over ``h`` (and returned) in
+    the order a fresh ``cumsum`` takes, so with its bits and no copy."""
+    v = h[::-1, ::-1]
+    np.cumsum(v, axis=0, out=v)
+    np.cumsum(v, axis=1, out=v)
+    return h
 
 
 def _surface_from_h(points, h):

@@ -9,8 +9,9 @@ Each table is a header line, then one tab-separated row per entry:
 * xcells: ``d1 d2 x`` (:class:`EdgeDegreeMatrix`, row for row).
 
 Tables are written and read one block of rows at a time, so the memory
-a table takes beyond its arrays does not grow with its length.  Floats
-are written with ``repr``, so they read back bit for bit.  Readers raise
+a table takes beyond its arrays does not grow with its length.  Rows are
+formatted by :func:`pagl._format.format_block`, which writes floats with
+``repr``, so they read back bit for bit.  Readers raise
 ValueError, naming the file, for a wrong header, a row with the wrong
 number of fields, a value the table cannot hold, or rows that are
 repeated, out of order, or inconsistent with one another.
@@ -22,7 +23,8 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .graphs import _open_stream
+from ._format import format_block
+from .graphs import _open_stream, _write_bytes
 from .stats import DegreeHistogram, EdgeDegreeMatrix, LogGrid, \
     NeighborDegreeProfile, RhoSurface, _grid_index, _tail_sums, \
     cumulative_degree
@@ -51,29 +53,6 @@ _DTYPES = {"i": np.int64, "f": np.float64}
 # ---------------------------------------------------------------------------
 # writing
 
-def _field(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def _format_block(columns) -> str:
-    """Row i of every column, tab-separated, one line per row.
-
-    A numpy column is formatted by its dtype (``repr`` for floats, ``str``
-    otherwise), a sequence item by item; all rows go through one ``%``.
-    """
-    specs, values = [], []
-    for column in columns:
-        if isinstance(column, np.ndarray):
-            kind = column.dtype.kind
-            specs.append("%r" if kind == "f" else "%d" if kind in "iu" else "%s")
-            values.append(column.tolist())
-        else:
-            specs.append("%s")
-            values.append(map(_field, column))
-    line = "\t".join(specs) + "\n"
-    return (line * len(columns[0])) % tuple(chain.from_iterable(zip(*values)))
-
-
 def _slices(columns):
     """``columns`` cut into blocks of ``_ROW_BLOCK`` rows."""
     sizes = {len(column) for column in columns}
@@ -84,8 +63,8 @@ def _slices(columns):
 
 
 def _lines(header: str, blocks):
-    yield header + "\n"
-    yield from map(_format_block, blocks)
+    yield (header + "\n").encode()
+    yield from map(format_block, blocks)
 
 
 def format_rows(header: str, *columns) -> str:
@@ -94,14 +73,13 @@ def format_rows(header: str, *columns) -> str:
     Floats are written with ``repr`` and everything else with ``str``; a
     numpy column is formatted by its dtype, a sequence item by item.
     """
-    return "".join(_lines(header, _slices(columns)))
+    return b"".join(_lines(header, _slices(columns))).decode()
 
 
 def _write(sink, header: str, blocks) -> None:
     """Write ``header`` and the rows of every block of columns to ``sink``
     (a path, or a text or byte stream), one block at a time."""
-    with _open_stream(sink, "w") as stream:
-        stream.writelines(_lines(header, blocks))
+    _write_bytes(sink, _lines(header, blocks))
 
 
 def write_degrees_tsv(h: DegreeHistogram, sink) -> None:
@@ -154,6 +132,8 @@ def _row_blocks(stream, name: str, header: str, kinds: str):
     A row with the wrong number of fields raises at its line, ahead of
     any value np.loadtxt rejects, and np.loadtxt's message counts its
     rows from the top of the table, as if the table were read whole.
+    Lines are checked one by one only in a block whose tab count is off
+    or that np.loadtxt rejects, and in every block after such a rejection.
     """
     found = stream.readline().removesuffix("\n")
     if found != header:
@@ -162,20 +142,33 @@ def _row_blocks(stream, name: str, header: str, kinds: str):
     line = 2  # the number of the block's first line
     rows = 0  # the data rows before the block
     failed = None  # (rows before, lines, error) of the first rejected block
-    while lines := list(islice(stream, _ROW_BLOCK)):
-        tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
+
+    def check(lines, first):
+        """Raise at the first malformed row of the block of ``lines`` that
+        starts at line ``first``; return whether every line is blank."""
+        tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64,
+                           len(lines))
         odd = np.flatnonzero(tabs != len(kinds) - 1).tolist()
         for i in odd:
             row = lines[i].removesuffix("\n")
             if row:
-                raise ValueError(f"{name}:{line + i}: malformed row {row!r}")
+                raise ValueError(f"{name}:{first + i}: malformed row {row!r}")
+        return len(odd) == len(lines)
+
+    while lines := list(islice(stream, _ROW_BLOCK)):
+        first = line
         line += len(lines)
-        if failed or len(odd) == len(lines):
-            continue
+        # np.loadtxt rejects a row with the wrong number of fields, so a
+        # block whose tab count adds up is checked line by line only if
+        # np.loadtxt rejects it
+        if failed or "".join(lines).count("\t") != (len(kinds) - 1) * len(lines):
+            if check(lines, first) or failed:
+                continue
         try:
             columns = np.loadtxt(lines, dtype=dtype, delimiter="\t",
                                  comments=None, ndmin=1, unpack=True)
         except ValueError as exc:
+            check(lines, first)
             failed = rows, lines, exc
             continue
         rows += columns[0].size

@@ -5,17 +5,20 @@ per-step attachment law of the chain, the chain's sampler run one step at
 a time, the Holme-Kim generator run one draw at a time, the ordered (both
 orientations) form of the edge-degree table with its row sums, and the
 strict two-sided edge tail evaluated cell by cell (over degrees, and over
-bin indices at grid pairs), and the text edge-list
-reader, writer and simplification as per-line and lexsort code.  Dict
-views of the library's tables and graphs serve the small-case assertions,
-and :func:`assert_no_children` checks that no worker process outlived
-its call.
+bin indices at grid pairs), the text edge-list reader, writer and
+simplification as per-line and lexsort code, and the row formatters the
+library used before its byte-table formatter: one ``%`` operation over
+all rows of a block, and a digit table of edge ids.  Dict views of the
+library's tables and graphs serve the small-case assertions, and
+:func:`assert_no_children` checks that no worker process outlived its
+call.
 """
 
 import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -273,6 +276,49 @@ def save_edge_list_lines(g: Graph, stream) -> None:
     for lo in range(0, edges.shape[0], 1 << 18):
         block = edges[lo:lo + (1 << 18)].tolist()
         stream.write("".join(f"{u} {v}\n" for u, v in block))
+
+
+def _field(value) -> str:
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def format_block_percent(columns) -> str:
+    """Row i of every column, tab-separated, one line per row.
+
+    A numpy column is formatted by its dtype (``repr`` for floats, ``str``
+    otherwise), a sequence item by item; all rows go through one ``%``.
+    """
+    specs, values = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            kind = column.dtype.kind
+            specs.append("%r" if kind == "f" else "%d" if kind in "iu" else "%s")
+            values.append(column.tolist())
+        else:
+            specs.append("%s")
+            values.append(map(_field, column))
+    line = "\t".join(specs) + "\n"
+    return (line * len(columns[0])) % tuple(chain.from_iterable(zip(*values)))
+
+
+def format_ids_digits(edges: np.ndarray, width: int) -> bytes:
+    """``u v\\n`` lines of ``edges`` (ids below 2**32, at most ``width``
+    digits) from one digit table over both ids."""
+    rows = edges.shape[0]
+    cols = 2 * width + 2
+    table = np.empty((rows, cols), np.uint8)
+    keep = np.ones((rows, cols), bool)
+    table[:, width] = ord(" ")
+    table[:, -1] = ord("\n")
+    for side, first in ((0, 0), (1, width + 1)):
+        x = edges[:, side].astype(np.uint32)
+        for j in range(width - 1):
+            np.greater_equal(x, 10 ** (width - 1 - j), out=keep[:, first + j])
+        for j in range(first + width - 1, first - 1, -1):
+            q = x // 10
+            np.add(x - q * 10, ord("0"), out=table[:, j], casting="unsafe")
+            x = q
+    return table[keep].tobytes()
 
 
 def adjacency_pairs_lexsort(edges):

@@ -240,6 +240,60 @@ class TestBootstrapCommand:
                    "--iterations", 5, "--out-prefix", tmp_path / "B") == 2
 
 
+@pytest.fixture(scope="module")
+def other_run(tmp_path_factory):
+    """A second analyze run of the pipeline's model, from another seed."""
+    root = tmp_path_factory.mktemp("other")
+    g = root / "g.tsv"
+    assert run("generate", "--model", "bo", "--a", 0.5, "--m", 3,
+               "--n", 20000, "--seed", 8, "--out", g) == 0
+    assert run("analyze", "--graph", g, "--out-prefix", root / "A") == 0
+    return root
+
+
+class TestOneAnalysisPerRun:
+    """The edge bootstrap reads ``--xcells`` and its window comes from
+    ``--edges``; both must come from one analyze run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--d1-lo", 3, "--d1-hi", 100, "--bootstrap", 5],
+        ["fit", "--auto-range", "--window", 1.5, "--bootstrap", 5],
+        ["bootstrap", "--target", "edges", "--auto-range", "--window", 1.5,
+         "--iterations", 5],
+    ], ids=["fit-explicit", "fit-auto", "bootstrap-auto"])
+    def test_mixed_runs_exit_2(self, pipeline, other_run, tmp_path, argv,
+                               capsys):
+        a, other = pipeline / "A", other_run / "A"
+        assert run(*argv, "--degrees", f"{a}.degrees.tsv",
+                   "--edges", f"{a}.edges.tsv",
+                   "--xcells", f"{other}.xcells.tsv",
+                   "--out-prefix", tmp_path / "M") == 2
+        err = capsys.readouterr().err
+        assert (f"--edges {a}.edges.tsv and --xcells {other}.xcells.tsv do "
+                f"not come from one analyze run") in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("M.*"))
+
+    def test_one_run_reports_one_edge_fit(self, pipeline, tmp_path):
+        a = pipeline / "A"
+        given = ["--degrees", f"{a}.degrees.tsv", "--edges", f"{a}.edges.tsv",
+                 "--auto-range", "--window", 1.5]
+        assert run("fit", *given, "--out-prefix", tmp_path / "F") == 0
+        assert run("fit", *given, "--xcells", f"{a}.xcells.tsv",
+                   "--bootstrap", 5, "--out-prefix", tmp_path / "FB") == 0
+        assert run("bootstrap", "--target", "edges", *given,
+                   "--xcells", f"{a}.xcells.tsv", "--iterations", 5,
+                   "--out-prefix", tmp_path / "B") == 0
+        fit = json.loads((tmp_path / "F.fit.json").read_text())
+        with_boot = json.loads((tmp_path / "FB.fit.json").read_text())
+        assert with_boot.pop("bootstrap")["edges"]["iterations"] == 5
+        assert with_boot == fit
+        assert ((tmp_path / "FB.fit.tsv").read_bytes()
+                == (tmp_path / "F.fit.tsv").read_bytes())
+        boot = json.loads((tmp_path / "B.bootstrap.json").read_text())
+        assert boot["original"] == fit["edge"]
+
+
 class TestTheoryCommands:
     def test_expected_degree_closed_form(self, tmp_path):
         q = tmp_path / "T"

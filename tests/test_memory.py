@@ -1,9 +1,10 @@
 """Memory bounds of the analyze and fit layers on a generated BO graph.
 
 Each bound is the tracemalloc peak of one call as a multiple of the size
-of its file or of the arrays it returns, with about 25% headroom over the
-peak measured when the bound was set (BO a = 0.5, m = 5, n = 60000,
-seed 0, numpy 2.4).  Reading a file or a table whole, or building the
+of its file, of the arrays it returns, or (for the edge bootstrap) of one
+float64 per domain pair, with about 25% headroom over the peak measured
+when the bound was set (BO a = 0.5, m = 5, n = 60000, seed 0, numpy
+2.4).  Reading a file or a table whole, or building the
 whole of a table's text at once, takes several times more and fails the
 bound.
 """
@@ -14,7 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pagl.bootstrap import bootstrap_edges
 from pagl.buckley_osthus import BOParams, generate_bo
+from pagl.fitting import degree_range, pair_domain
 from pagl.graphs import load_edge_list, save_edge_list, simplify
 from pagl.stats import degree_histogram, edge_degree_matrix, log_grid, \
     rho_surface
@@ -73,3 +76,14 @@ def test_surface_from_tables(bo):
     kept = back.x_exact.nbytes + back.cum_edges.nbytes + back.rho.nbytes
     assert used < 1.95 * kept
     assert np.array_equal(back.rho, surface.rho, equal_nan=True)
+
+
+def test_bootstrap_edges(bo):
+    _, s, hist, grid, _ = bo
+    matrix = edge_degree_matrix(s)
+    domain = pair_domain(degree_range(grid, 9, 10_000), 10.0)
+    # the tail block, the categories and the Gauss-Newton buffers over
+    # the domain, with the tails summed in place: 22.8 float64 per pair
+    rep, used = peak(bootstrap_edges, hist, matrix, domain, grid, 8, 0, 1)
+    assert rep.diverged == 0
+    assert used < 28 * 8 * len(domain)

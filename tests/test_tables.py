@@ -174,6 +174,56 @@ class TestBlocks:
             with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
                 assert error() == whole
 
+    # the exact message of each case, pinned at every block size: rows
+    # whose tab counts add up to a valid block's, a malformed row behind
+    # a block np.loadtxt rejects, a blank line and a whitespace-only line
+    @pytest.mark.parametrize("changes, message", [
+        ({3: "3\t1", 4: "4\t1\t1\t1"}, "<stream>:4: malformed row '3\\t1'"),
+        ({3: "3\t1\t1\t1", 4: "4\t1"},
+         "<stream>:4: malformed row '3\\t1\\t1\\t1'"),
+        ({2: "2\t1\tx", 9: "9\t1"}, "<stream>:10: malformed row '9\\t1'"),
+        ({4: "", 8: "8\t1\tx"},
+         "<stream>: could not convert string 'x' to int64 at row 6, column 3."),
+        ({4: "  "}, "<stream>:5: malformed row '  '"),
+        ({4: " \t "}, "<stream>:5: malformed row ' \\t '"),
+    ], ids=["tabs-add-up", "tabs-add-up-other-order", "malformed-after-rejected",
+            "value-after-blank-line", "whitespace-line", "whitespace-and-tab"])
+    def test_pinned_messages(self, changes, message):
+        lines = list(self.XCELLS)
+        for i, line in changes.items():
+            lines[i] = line
+        text = "\n".join(lines) + "\n"
+        for block in (1, 2, 3, 4, 1 << 14):
+            with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+                with pytest.raises(ValueError) as err:
+                    load_xcells_tsv(io.StringIO(text))
+            assert str(err.value) == message
+
+    def test_blank_line_is_skipped(self):
+        lines = list(self.XCELLS)
+        want = load_xcells_tsv(io.StringIO("\n".join(lines) + "\n"))
+        lines.insert(5, "")
+        for block in (1, 2, 3, 4, 1 << 14):
+            with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+                back = load_xcells_tsv(io.StringIO("\n".join(lines) + "\n"))
+            assert text_of(write_xcells_tsv, back) == text_of(write_xcells_tsv, want)
+
+    def test_edges_rows_of_three_and_five_tabs(self):
+        s = simplify(Graph(30, [(i, (3 * i + 1) % 30) for i in range(30)]))
+        hist = degree_histogram(s)
+        grid = log_grid(1.2, int(s.degrees().max()))
+        lines = text_of(write_edges_tsv,
+                        rho_surface(hist, edge_degree_matrix(s), grid)).splitlines()
+        assert len(lines) > 3
+        short = lines[2].rsplit("\t", 1)[0]
+        lines[2], lines[3] = short, lines[3] + "\t0"
+        text = "\n".join(lines) + "\n"
+        for block in (1, 2, 1 << 14):
+            with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+                with pytest.raises(ValueError) as err:
+                    surface_from_tables(hist, io.StringIO(text), grid)
+            assert str(err.value) == f"<stream>:3: malformed row {short!r}"
+
     def test_edges_complaints_keep_their_order(self):
         s = simplify(Graph(30, [(i, (3 * i + 1) % 30) for i in range(30)]
                            + [(0, i) for i in range(2, 20)]))
