@@ -4,9 +4,13 @@
 becomes one byte table, one row of text per table row, and the text is
 gathered from it through one keep mask.  Every value reads as ``str``
 would write it, except a float, which reads as its ``repr``.
+:func:`format_rows` writes a header and its rows as TSV text, a block of
+rows at a time.
 """
 
 import numpy as np
+
+_ROW_BLOCK = 1 << 14  # table rows formatted or parsed per pass
 
 
 def _field(value) -> str:
@@ -98,3 +102,26 @@ def format_block(columns, sep: bytes = b"\t") -> bytes:
         at += 1
     table[:, -1] = ord("\n")
     return table[keep].tobytes()
+
+
+def _slices(columns, rows: int = _ROW_BLOCK):
+    """``columns`` cut into blocks of ``rows`` rows."""
+    sizes = {len(column) for column in columns}
+    if len(sizes) > 1:
+        raise ValueError(f"columns differ in length: {sorted(sizes)}")
+    for lo in range(0, sizes.pop() if sizes else 0, rows):
+        yield [column[lo:lo + rows] for column in columns]
+
+
+def _lines(header: str, blocks):
+    yield (header + "\n").encode()
+    yield from map(format_block, blocks)
+
+
+def format_rows(header: str, *columns) -> str:
+    """TSV text: ``header``, then row i of item i of every column.
+
+    Floats are written with ``repr`` and everything else with ``str``; a
+    numpy column is formatted by its dtype, a sequence item by item.
+    """
+    return b"".join(_lines(header, _slices(columns))).decode()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckley_osthus import MAX_CHAIN
+from ._limits import MAX_CHAIN
 from .graphs import Graph
 
 __all__ = [

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._limits import MAX_CHAIN
 from ._workers import map_seeds
 from .graphs import Graph
 
@@ -32,9 +33,6 @@ __all__ = [
     "generate_bo",
     "generate_bo_samples",
 ]
-
-# ids and degree counters are 32-bit; the chain length m*n must fit
-MAX_CHAIN = 2**31 - 1
 
 # uniforms are drawn in fixed blocks of this size (r block then q block);
 # changing it would change generated graphs, so it is a constant

@@ -1,12 +1,17 @@
 """Command-line pipelines over the library: generate, analyze, fit,
 bootstrap, and theory oracles.
 
+At its top this module loads only numpy and :mod:`pagl.graphs`; each
+subcommand imports the modules it runs, so a process loads only what its
+subcommand needs.
+
 Every command writes its data outputs plus a ``*.manifest.json`` recording
 the command line, seeds, parameters, inputs/outputs, tool version, and
-wall-clock time.  All data outputs are byte-deterministic for fixed seeds
-and inputs; the manifest is the only artifact carrying timing.  The
-``--verify`` flag re-derives every data output and byte-compares it
-against what was written.
+wall-clock time (from the parsed command line to the written outputs, so
+loading the subcommand's modules counts).  All data outputs are
+byte-deterministic for fixed seeds and inputs; the manifest is the only
+artifact carrying timing.  The ``--verify`` flag re-derives every data
+output and byte-compares it against what was written.
 
 Exit codes: 0 success, 2 validation or format error, or a size this
 machine cannot hold, 3 fit divergence (all fits requested by the command
@@ -26,21 +31,21 @@ import time
 import numpy as np
 
 from . import __version__
-from .baselines import GDSParams, HKParams, generate_configuration, \
-    generate_holme_kim, sample_power_law_degrees
-from .bootstrap import bootstrap_edges, bootstrap_vertices
-from .buckley_osthus import BOParams, generate_bo
-from .fitting import _MAX_WINDOW, _MIN_WINDOW, DivergenceError, \
-    degree_range, fit_degree, fit_edges, pair_domain, select_range
+from ._format import format_rows
+from ._limits import _MAX_WINDOW, _MIN_WINDOW, MAX_SHAPE_PAIRS, \
+    DivergenceError
 from .graphs import Graph, edge_list_bytes, load_binary, load_edge_list, \
     save_binary, simplify
-from .stats import cumulative_degree, d_nn_profile, degree_histogram, \
-    edge_degree_matrix, log_grid, rho_surface
-from .tables import format_rows, load_degrees_tsv, load_xcells_tsv, \
-    surface_from_tables, write_degrees_tsv, write_dnn_tsv, write_edges_tsv, \
-    write_xcells_tsv
-from .theory import MAX_SHAPE_PAIRS, TheoryParams, edge_model_shape_check, \
-    expected_degree_count, expected_edge_count, multiplicity_scaling_report
+
+
+def __getattr__(name):
+    """A public name of pagl, looked up in the package, so that imports
+    such as ``from pagl.cli import load_degrees_tsv`` work while this
+    module loads only what its subcommands run."""
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +90,7 @@ def _manifest(args, argv, seeds, params, inputs, outputs, t0) -> dict:
         "inputs": sorted(str(p) for p in inputs),
         "outputs": sorted(str(p) for p in outputs),
         "threads": getattr(args, "threads", None),
-        "wall_clock_s": round(time.time() - t0, 6),
+        "wall_clock_s": round(time.perf_counter() - t0, 6),
     }
 
 
@@ -96,12 +101,17 @@ def _build_generate(args):
     fmt = _graph_format(args.out, args.format)
     payloads = {}
     if args.model == "bo":
+        from .buckley_osthus import BOParams, generate_bo
+
         if args.a is None or args.m is None or args.n is None:
             raise ValueError("generate --model bo needs --a, --m and --n")
         params = BOParams(a=args.a, m=args.m, n=args.n, seed=args.seed)
         payloads[args.out] = _graph_payload(generate_bo(params), fmt)
         shown = {"a": args.a, "m": args.m, "n": args.n}
     elif args.model == "gds":
+        from .baselines import GDSParams, generate_configuration, \
+            sample_power_law_degrees
+
         if args.gamma is None or args.n is None:
             raise ValueError("generate --model gds needs --gamma and --n")
         params = GDSParams(n=args.n, gamma=args.gamma,
@@ -114,6 +124,8 @@ def _build_generate(args):
         shown = {"gamma": args.gamma, "n": args.n,
                  "target_edges": args.target_edges}
     else:
+        from .baselines import HKParams, generate_holme_kim
+
         if args.m is None or args.n is None:
             raise ValueError("generate --model hk needs --m and --n")
         params = HKParams(n=args.n, m=args.m, p_t=args.pt, seed=args.seed)
@@ -128,6 +140,11 @@ def _build_generate(args):
 # analyze
 
 def _build_analyze(args):
+    from .stats import d_nn_profile, degree_histogram, edge_degree_matrix, \
+        log_grid, rho_surface
+    from .tables import write_degrees_tsv, write_dnn_tsv, write_edges_tsv, \
+        write_xcells_tsv
+
     s = simplify(_load_graph(args.graph, args.format))
     hist = degree_histogram(s)
     mat = edge_degree_matrix(s)
@@ -184,6 +201,8 @@ def _fit_tsv(degree_entry, edge_entry) -> bytes:
 def _resolve_range(args, tails, surface, grid):
     """Window selection (auto) or explicit bounds; returns range, domain
     and fits already computed for the auto path."""
+    from .fitting import degree_range, pair_domain, select_range
+
     if args.auto_range:
         try:
             sel = select_range(tails, surface, args.window, grid,
@@ -201,6 +220,9 @@ def _resolve_range(args, tails, surface, grid):
 def _load_degrees(args):
     """The degrees table, its strict tails, and the ``--alpha`` grid up to
     its largest degree."""
+    from .stats import cumulative_degree, log_grid
+    from .tables import load_degrees_tsv
+
     hist = load_degrees_tsv(args.degrees)
     if hist.degrees.size == 0:
         raise ValueError(f"{args.degrees}: no positive-degree vertices")
@@ -215,6 +237,9 @@ def _bootstrap(args, target, hist, rng, dom, grid, B, inputs, edge_fit=None):
     edge bootstrap's original fit to ``--xcells`` bit for bit, as it does
     when both tables come from one analyze run.
     """
+    from .bootstrap import bootstrap_edges, bootstrap_vertices
+    from .tables import load_xcells_tsv
+
     if target == "degrees":
         rep = bootstrap_vertices(hist, rng, B=B, seed=args.seed,
                                  threads=args.threads)
@@ -236,6 +261,9 @@ def _bootstrap(args, target, hist, rng, dom, grid, B, inputs, edge_fit=None):
 
 
 def _build_fit(args):
+    from .fitting import fit_degree, fit_edges
+    from .tables import surface_from_tables
+
     hist, tails, grid = _load_degrees(args)
     surface = surface_from_tables(hist, args.edges, grid)
     rng, dom, fd, fe, auto = _resolve_range(args, tails, surface, grid)
@@ -287,6 +315,8 @@ def _build_fit(args):
 # bootstrap
 
 def _build_bootstrap(args):
+    from .tables import surface_from_tables
+
     hist, tails, grid = _load_degrees(args)
     inputs = [args.degrees]
 
@@ -352,6 +382,9 @@ def _parse_pairs(text: str) -> list:
 
 
 def _build_theory_expected(args):
+    from .theory import TheoryParams, expected_degree_count, \
+        expected_edge_count
+
     if not args.d and not args.pairs:
         raise ValueError("pass --d and/or --pairs")
     params = TheoryParams(a=args.a, m=args.m, n=args.n)
@@ -374,6 +407,8 @@ def _build_theory_expected(args):
 
 
 def _build_theory_rho_shape(args):
+    from .theory import edge_model_shape_check
+
     report = edge_model_shape_check(
         args.a2, ratio_range=(args.ratio_min, args.ratio_max),
         d2_range=(args.d2_min, args.d2_max), grid_size=args.grid_size)
@@ -391,6 +426,8 @@ def _build_theory_rho_shape(args):
 
 
 def _build_theory_multiplicity(args):
+    from .theory import multiplicity_scaling_report
+
     n_list = _parse_int_list(args.n_list, "--n-list")
     if len(n_list) < 2:
         raise ValueError("--n-list needs at least 2 sizes to fit a slope")
@@ -611,7 +648,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         build = args.func
         payloads, seeds, params, inputs, deferred = build(args)

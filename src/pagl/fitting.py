@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._limits import _MAX_WINDOW, _MIN_WINDOW, DivergenceError
 from .stats import LogGrid, RhoSurface, TailCounts, _grid_index
 
 __all__ = [
@@ -42,10 +43,6 @@ __all__ = [
     "RangeSelection",
     "select_range",
 ]
-
-
-class DivergenceError(RuntimeError):
-    """Raised when a required fit (or every bootstrap refit) diverges."""
 
 
 def degree_model(a, b, d):
@@ -142,10 +139,19 @@ class GNResult:
     trace: list = field(default_factory=list)
 
 
+def _finite(x) -> bool:
+    return all(map(math.isfinite, x.tolist()))
+
+
+def _norm(x) -> float:
+    """``np.linalg.norm`` of the float64 vector ``x``, the same bits."""
+    return math.sqrt(x.dot(x))
+
+
 def _solve_step(h, g):
     try:
         delta = np.linalg.solve(h, g)
-        if np.all(np.isfinite(delta)):
+        if _finite(delta):
             return delta
     except np.linalg.LinAlgError:
         pass
@@ -155,7 +161,7 @@ def _solve_step(h, g):
     for _ in range(20):
         try:
             delta = np.linalg.solve(h + lam * eye, g)
-            if np.all(np.isfinite(delta)):
+            if _finite(delta):
                 return delta
         except np.linalg.LinAlgError:
             pass
@@ -169,20 +175,38 @@ def gauss_newton(residual, jacobian, theta0, *, max_iter=100, max_halvings=30,
 
     Steps are (J^T J)^{-1} J^T r, halved up to ``max_halvings`` times
     until the objective strictly decreases; a failed line search stops
-    with ``converged=False``.  Convergence is a relative step below
-    ``step_tol``.  ``trace`` records the objective at the start and after
-    every accepted step; it is non-increasing by construction.
+    with ``converged=False``, as does a Jacobian that is not finite.
+    Convergence is a relative step below ``step_tol``.  ``trace``
+    records the objective at the start and after every accepted step; it
+    is non-increasing by construction.
 
     ``residual`` may return a buffer it reuses; GN copies what it keeps.
     ``jacobian(theta)`` is called only at the ``theta`` that ``residual``
     was last called with, so it may reuse that evaluation's values.
     Overflow and invalid-value warnings are silenced for the whole solve.
     """
+    def vector(th):
+        return np.atleast_1d(np.asarray(residual(th), dtype=np.float64))
+
+    def finite_jacobian(th):
+        jac = np.asarray(jacobian(th), dtype=np.float64)
+        return jac if np.all(np.isfinite(jac)) else None
+
+    theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
+    return _descend(vector, finite_jacobian, theta, max_iter, max_halvings,
+                    step_tol)
+
+
+def _descend(residual, jacobian, theta, max_iter=100, max_halvings=30,
+             step_tol=1e-10) -> GNResult:
+    """:func:`gauss_newton` from the float64 vector ``theta``, for a
+    ``residual`` that returns a float64 vector and a ``jacobian`` that
+    returns a finite float64 matrix, or None for one that is not finite."""
     square = None
 
     def evaluate(th):
         nonlocal square
-        r = np.atleast_1d(np.asarray(residual(th), dtype=np.float64))
+        r = residual(th)
         if square is None:
             square = np.empty_like(r)
         # np.mean's own arithmetic: a pairwise sum, then one division
@@ -190,22 +214,22 @@ def gauss_newton(residual, jacobian, theta0, *, max_iter=100, max_halvings=30,
         return (f if math.isfinite(f) else math.inf), r
 
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
         f, r = evaluate(theta)
         trace = [f]
         converged = False
         iterations = 0
         if math.isfinite(f):
             for iterations in range(1, max_iter + 1):
-                jac = np.asarray(jacobian(theta), dtype=np.float64)
-                if not np.all(np.isfinite(jac)):
+                jac = jacobian(theta)
+                if jac is None:
                     break
                 # r is read here, before the line search reuses its buffer
                 delta = _solve_step(jac.T @ jac, jac.T @ r)
                 if delta is None:
                     break
-                scale = 1.0 + float(np.linalg.norm(theta))
-                if float(np.linalg.norm(delta)) <= step_tol * scale:
+                scale = 1.0 + _norm(theta)
+                size = _norm(delta)
+                if size <= step_tol * scale:
                     converged = True
                     break
                 step = 1.0
@@ -224,11 +248,13 @@ def gauss_newton(residual, jacobian, theta0, *, max_iter=100, max_halvings=30,
                     # No damped step decreases the objective.  When even the
                     # most-damped candidate is already below the step
                     # tolerance this is a stationary point, not divergence.
-                    if (float(np.linalg.norm(delta)) * 0.5 ** max_halvings
-                            <= step_tol * scale):
+                    if size * 0.5 ** max_halvings <= step_tol * scale:
                         converged = True
                     break  # otherwise: persistent non-decrease
-                if float(np.linalg.norm(step * delta)) <= step_tol * scale:
+                # step is a power of two no smaller than 2**-max_halvings
+                # and size exceeds step_tol, so step * size is the norm of
+                # step * delta bit for bit
+                if step * size <= step_tol * scale:
                     converged = True
                     break
     return GNResult(theta=theta, objective=f, iterations=iterations,
@@ -282,12 +308,14 @@ class _PowerLaw:
             return np.subtract(sqrt_y, model, out=r)
 
         def jacobian(th):
-            # th was evaluated last, so model holds its sqrt-model values
+            # th was evaluated last, so model holds its sqrt-model values;
+            # they are finite, as the objective is, and |u| < 100 for
+            # int64 degrees, so the Jacobian is finite too
             np.multiply(self._du, model, out=jac[:, 0])
             np.multiply(model, -0.5, out=jac[:, 1])
             return jac
 
-        return gauss_newton(residual, jacobian, [a0, lnb0], max_iter=max_iter)
+        return _descend(residual, jacobian, np.array([a0, lnb0]), max_iter)
 
     def fit(self, y, a0, lnb0, max_iter) -> FitResult:
         gn = self.solve(y, a0, lnb0, max_iter)
@@ -411,11 +439,6 @@ class RangeSelection:
     def __iter__(self):
         yield self.range
         yield self.domain
-
-
-# the shortest window tried, and the longest whose span 10**window is a float
-_MIN_WINDOW = 1.2
-_MAX_WINDOW = math.log10(np.finfo(np.float64).max)
 
 
 def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,

@@ -23,7 +23,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from ._format import format_block
+from ._format import _ROW_BLOCK, _lines, _slices, format_rows
 from .graphs import _open_stream, _write_bytes
 from .stats import DegreeHistogram, EdgeDegreeMatrix, LogGrid, \
     NeighborDegreeProfile, RhoSurface, _grid_index, _tail_sums, \
@@ -46,35 +46,11 @@ EDGES_HEADER = "d1\td2\tX\tXcum\trho"
 DNN_HEADER = "d\tdnn"
 XCELLS_HEADER = "d1\td2\tx"
 
-_ROW_BLOCK = 1 << 14  # table rows formatted or parsed per pass
 _DTYPES = {"i": np.int64, "f": np.float64}
 
 
 # ---------------------------------------------------------------------------
 # writing
-
-def _slices(columns):
-    """``columns`` cut into blocks of ``_ROW_BLOCK`` rows."""
-    sizes = {len(column) for column in columns}
-    if len(sizes) > 1:
-        raise ValueError(f"columns differ in length: {sorted(sizes)}")
-    for lo in range(0, sizes.pop() if sizes else 0, _ROW_BLOCK):
-        yield [column[lo:lo + _ROW_BLOCK] for column in columns]
-
-
-def _lines(header: str, blocks):
-    yield (header + "\n").encode()
-    yield from map(format_block, blocks)
-
-
-def format_rows(header: str, *columns) -> str:
-    """TSV text: ``header``, then row i of item i of every column.
-
-    Floats are written with ``repr`` and everything else with ``str``; a
-    numpy column is formatted by its dtype, a sequence item by item.
-    """
-    return b"".join(_lines(header, _slices(columns))).decode()
-
 
 def _write(sink, header: str, blocks) -> None:
     """Write ``header`` and the rows of every block of columns to ``sink``
@@ -88,7 +64,8 @@ def write_degrees_tsv(h: DegreeHistogram, sink) -> None:
     d, c = h.degrees, h.counts
     if h.isolated:
         d, c = np.append(0, d), np.append(h.isolated, c)
-    _write(sink, DEGREES_HEADER, _slices((d, c, cumulative_degree(h).at(d))))
+    _write(sink, DEGREES_HEADER,
+           _slices((d, c, cumulative_degree(h).at(d)), _ROW_BLOCK))
 
 
 def _edge_rows(surface: RhoSurface):
@@ -113,12 +90,12 @@ def write_edges_tsv(surface: RhoSurface, sink) -> None:
 
 def write_dnn_tsv(profile: NeighborDegreeProfile, sink) -> None:
     """Rows ``d<TAB>dnn`` over degrees with at least one edge."""
-    _write(sink, DNN_HEADER, _slices((profile.d, profile.dnn)))
+    _write(sink, DNN_HEADER, _slices((profile.d, profile.dnn), _ROW_BLOCK))
 
 
 def write_xcells_tsv(mat: EdgeDegreeMatrix, sink) -> None:
     """Rows ``d1<TAB>d2<TAB>x``: the matrix's cells, plain edge counts."""
-    _write(sink, XCELLS_HEADER, _slices((mat.d1, mat.d2, mat.x)))
+    _write(sink, XCELLS_HEADER, _slices((mat.d1, mat.d2, mat.x), _ROW_BLOCK))
 
 
 # ---------------------------------------------------------------------------

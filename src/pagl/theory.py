@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._limits import MAX_SHAPE_PAIRS
 from ._workers import map_seeds
 from .buckley_osthus import generate_bo_chain, merge_blocks
 from .graphs import count_multiplicities
@@ -262,11 +263,6 @@ class ShapeCheckReport:
     shape: np.ndarray
     constant: float
     max_rel_deviation: float
-
-
-# the largest pair set edge_model_shape_check takes: one tail_ratio costs
-# about 2 ms at the default ranges, so this many take about 5 s
-MAX_SHAPE_PAIRS = 2500
 
 
 def edge_model_shape_check(

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import resource
@@ -549,3 +551,92 @@ class TestImportCost:
                     if line.startswith("import time:")]
         assert "numpy" in imported and "pagl.graphs" in imported
         assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def loaded_modules(*argv, cwd):
+    """Exit code and the modules loaded by ``pagl *argv`` in a child
+    process."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pagl.cli", *map(str, argv)],
+        env=child_env(), cwd=cwd, capture_output=True, text=True, timeout=120)
+    return proc.returncode, {line.rsplit("|", 1)[-1].strip()
+                             for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+class TestModuleSets:
+    """Each subcommand loads the modules it runs and none of the others."""
+
+    @pytest.mark.parametrize("argv, runs, skips", [
+        (["--version"], "graphs",
+         "fitting bootstrap stats tables theory baselines buckley_osthus"),
+        (["analyze", "--graph", "p.tsv", "--out-prefix", "A"], "tables",
+         "fitting bootstrap theory baselines buckley_osthus"),
+        ([*MULTIPLICITY, "--n-list", "30,60", "--samples", 2, "--threads", 1,
+          "--out-prefix", "T"], "theory",
+         "fitting bootstrap stats tables baselines"),
+        (["generate", "--model", "bo", "--a", 0.5, "--m", 2, "--n", 50,
+          "--out", "g.tsv"], "buckley_osthus",
+         "stats tables fitting bootstrap theory"),
+        (["generate", "--model", "gds", "--gamma", 2.5, "--n", 50,
+          "--out", "g.bin"], "baselines",
+         "buckley_osthus _workers stats tables fitting bootstrap theory"),
+    ], ids=["version", "analyze", "theory-multiplicity", "generate-bo",
+            "generate-gds"])
+    def test_loads_only_its_modules(self, tmp_path, argv, runs, skips):
+        (tmp_path / "p.tsv").write_text("#n 5\n0 1\n1 2\n2 3\n3 4\n")
+        rc, modules = loaded_modules(*argv, cwd=tmp_path)
+        assert rc == 0
+        assert {"numpy", "pagl.graphs", f"pagl.{runs}"} <= modules
+        assert not {f"pagl.{name}" for name in skips.split()} & modules
+
+
+class TestPackageRoot:
+    """``import pagl`` loads no submodule; every public name loads its own
+    on first use."""
+
+    def test_names_are_their_submodules_objects(self):
+        for module, names in pagl._EXPORTS.items():
+            home = importlib.import_module(f"pagl.{module}")
+            for name in names:
+                assert name in home.__all__
+                assert getattr(pagl, name) is getattr(home, name)
+        assert pagl.__all__ == [n for ns in pagl._EXPORTS.values() for n in ns]
+        assert pagl.DivergenceError is pagl.fitting.DivergenceError
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pagl.no_such_name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pagl.cli.no_such_name
+        with pytest.raises(ImportError):
+            from pagl import no_such_name  # noqa: F401
+
+    def test_star_and_benchmark_imports_in_a_fresh_process(self):
+        # the `from pagl... import` lines of the benchmark's traced run
+        traced = Path(__file__).resolve().parents[1] / "perfbench/traced.py"
+        tree = ast.parse(traced.read_text())
+        lines = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module in ("pagl", "pagl.cli")]
+        assert len(lines) >= 5
+        code = "\n".join([
+            "import sys",
+            "import pagl",
+            "assert [m for m in sys.modules if m.startswith('pagl.')] == []",
+            "assert pagl.stats.log_grid is pagl.log_grid",
+            "from pagl import *",
+            "assert all(name in globals() for name in pagl.__all__)",
+            *lines])
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_divergence_exits_3_in_a_fresh_process(self, tmp_path):
+        (tmp_path / "p.tsv").write_text("#n 5\n0 1\n1 2\n2 3\n3 4\n")
+        assert run("analyze", "--graph", tmp_path / "p.tsv",
+                   "--out-prefix", tmp_path / "P") == 0
+        rc, modules = loaded_modules(
+            "fit", "--degrees", "P.degrees.tsv", "--edges", "P.edges.tsv",
+            "--auto-range", "--out-prefix", "Q", cwd=tmp_path)
+        assert rc == 3 and "pagl.fitting" in modules
