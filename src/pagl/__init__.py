@@ -32,7 +32,7 @@ _EXPORTS = {
         "DegreeHistogram", "EdgeDegreeMatrix", "LogGrid", "RhoSurface",
         "NeighborDegreeProfile", "degree_histogram", "histogram_from_degrees",
         "edge_degree_matrix", "cumulative_degree", "log_grid", "rho_surface",
-        "d_nn_profile",
+        "d_nn_profile", "GraphTables", "graph_tables", "degree_grid",
     ),
     "tables": (
         "write_degrees_tsv", "write_edges_tsv", "write_dnn_tsv",

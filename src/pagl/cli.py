@@ -140,25 +140,18 @@ def _build_generate(args):
 # analyze
 
 def _build_analyze(args):
-    from .stats import d_nn_profile, degree_histogram, edge_degree_matrix, \
-        log_grid, rho_surface
+    from .stats import graph_tables
     from .tables import write_degrees_tsv, write_dnn_tsv, write_edges_tsv, \
         write_xcells_tsv
 
-    s = simplify(_load_graph(args.graph, args.format))
-    hist = degree_histogram(s)
-    mat = edge_degree_matrix(s)
-    deg = np.diff(s.indptr)
-    d_max = int(deg.max()) if deg.size else 1
-    grid = log_grid(args.alpha, max(d_max, 1))
-    surface = rho_surface(hist, mat, grid)
-    profile = d_nn_profile(mat)
+    t = graph_tables(simplify(_load_graph(args.graph, args.format)),
+                     args.alpha)
     p = args.out_prefix
     payloads = {
-        p + ".degrees.tsv": _text(write_degrees_tsv, hist),
-        p + ".edges.tsv": _text(write_edges_tsv, surface),
-        p + ".dnn.tsv": _text(write_dnn_tsv, profile),
-        p + ".xcells.tsv": _text(write_xcells_tsv, mat),
+        p + ".degrees.tsv": _text(write_degrees_tsv, t.hist),
+        p + ".edges.tsv": _text(write_edges_tsv, t.surface),
+        p + ".dnn.tsv": _text(write_dnn_tsv, t.profile),
+        p + ".xcells.tsv": _text(write_xcells_tsv, t.matrix),
     }
     return payloads, {}, {"alpha": args.alpha}, [args.graph], None
 
@@ -218,15 +211,15 @@ def _resolve_range(args, tails, surface, grid):
 
 
 def _load_degrees(args):
-    """The degrees table, its strict tails, and the ``--alpha`` grid up to
-    its largest degree."""
-    from .stats import cumulative_degree, log_grid
+    """The degrees table, its strict tails, and the ``--alpha`` grid that
+    analyze wrote the edges table on."""
+    from .stats import cumulative_degree, degree_grid
     from .tables import load_degrees_tsv
 
     hist = load_degrees_tsv(args.degrees)
     if hist.degrees.size == 0:
         raise ValueError(f"{args.degrees}: no positive-degree vertices")
-    grid = log_grid(args.alpha, int(hist.degrees[-1]))
+    grid = degree_grid(hist, args.alpha)
     return hist, cumulative_degree(hist), grid
 
 
@@ -372,10 +365,12 @@ def _parse_pairs(text: str) -> list:
         part = part.strip()
         if not part:
             continue
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ValueError(f"--pairs expects d1:d2 items, got {part!r}")
-        pairs.append((int(pieces[0]), int(pieces[1])))
+        try:
+            d1, d2 = map(int, part.split(":"))
+        except ValueError:
+            raise ValueError(f"--pairs expects d1:d2 integer items, "
+                             f"got {part!r}")
+        pairs.append((d1, d2))
     if not pairs:
         raise ValueError("--pairs is empty")
     return pairs

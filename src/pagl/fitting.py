@@ -441,23 +441,29 @@ class RangeSelection:
         yield self.domain
 
 
+# the window search: log10 advance per window, fewest grid points in a
+# window, and the log10 length taken off a window length that fits nowhere
+_STEP = 0.1
+_MIN_POINTS = 3
+_SHRINK = 0.5
+
+
 def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,
-                 grid: LogGrid = None, *, ratio_cutoff: float = 10.0,
-                 step: float = 0.1, min_points: int = 3, shrink: float = 0.5,
-                 min_window: float = _MIN_WINDOW) -> RangeSelection:
+                 grid: LogGrid = None, *,
+                 ratio_cutoff: float = 10.0) -> RangeSelection:
     """Slide a log10 window over the degree axis and keep the one whose
     two fits have the smallest product of sqrt-scale objectives.
 
-    Windows advance in ``step`` log10 increments.  A window is valid when
-    every grid point inside has a positive tail count, the pair domain is
-    nonempty, and both fits converge.  If a window length yields no valid
-    window it shrinks by ``shrink`` (recorded in the result) down to
-    ``min_window`` before giving up; ``window`` must be at least that and
-    at most ``log10`` of the largest float.
+    Windows advance in log10 steps of 0.1.  A window is valid when it
+    holds at least 3 grid points, every one with a positive tail count,
+    the pair domain is nonempty, and both fits converge.  If a window
+    length yields no valid window it shrinks by 0.5 (recorded in the
+    result) down to 1.2 before giving up; ``window`` must be at least 1.2
+    and at most ``log10`` of the largest float.
     """
-    if not min_window <= window <= _MAX_WINDOW:
+    if not _MIN_WINDOW <= window <= _MAX_WINDOW:
         raise ValueError(f"window {window!r} is not in "
-                         f"[{min_window}, {_MAX_WINDOW:.0f}]")
+                         f"[{_MIN_WINDOW}, {_MAX_WINDOW:.0f}]")
     if grid is None:
         grid = surface.grid
     if cum_deg.degrees.size == 0:
@@ -465,18 +471,18 @@ def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,
     x_top = math.log10(float(cum_deg.degrees.max()))
 
     w = window
-    while w >= min_window:
+    while w >= _MIN_WINDOW:
         best = None
         x = 0.0
         while x + w <= x_top + 1e-12:
             lo = max(1, math.floor(10.0**x))
             hi = math.floor(10.0 ** (x + w))
-            x += step
+            x += _STEP
             try:
                 rng = degree_range(grid, lo, hi)
             except ValueError:
                 continue
-            if rng.grid_points.size < min_points:
+            if rng.grid_points.size < _MIN_POINTS:
                 continue
             dom = pair_domain(rng, ratio_cutoff)
             if len(dom) == 0:
@@ -493,5 +499,5 @@ def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,
                 best = RangeSelection(rng, dom, w, product, df, ef)
         if best is not None:
             return best
-        w -= shrink
+        w -= _SHRINK
     raise ValueError("no window with both fits convergent")

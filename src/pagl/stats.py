@@ -3,10 +3,12 @@
 Provides the degree histogram, the edge-degree table X(d1,d2) as one row
 per unordered cell d1 >= d2 with its plain edge count, strict-tail
 cumulative counts, the tail-correlation surface rho on a geometric
-integer grid, and the average neighbor degree profile.  The surface uses
-the symmetric convention in which an edge joining two degree-d vertices
-adds 2 to X(d,d); :meth:`EdgeDegreeMatrix.ordered_weight` is where that
-doubling lives.  The TSV form of each table is in :mod:`pagl.tables`.
+integer grid, and the average neighbor degree profile;
+:func:`graph_tables` builds all four of a graph in one call, on the grid
+:func:`degree_grid` spans.  The surface uses the symmetric convention in
+which an edge joining two degree-d vertices adds 2 to X(d,d);
+:meth:`EdgeDegreeMatrix.ordered_weight` is where that doubling lives.
+The TSV form of each table is in :mod:`pagl.tables`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = [
     "log_grid",
     "rho_surface",
     "d_nn_profile",
+    "GraphTables",
+    "degree_grid",
+    "graph_tables",
 ]
 
 
@@ -303,3 +308,45 @@ def d_nn_profile(x: EdgeDegreeMatrix) -> NeighborDegreeProfile:
         np.add.at(den, row, x.x)
     d = np.flatnonzero(den)
     return NeighborDegreeProfile(d, num[d] / den[d])
+
+
+# ---------------------------------------------------------------------------
+# the tables of one graph
+
+@dataclass(frozen=True)
+class GraphTables:
+    """The four tables of one simple graph, as ``pagl analyze`` writes them."""
+
+    hist: DegreeHistogram
+    matrix: EdgeDegreeMatrix
+    surface: RhoSurface
+    profile: NeighborDegreeProfile
+
+    @property
+    def tails(self) -> TailCounts:
+        return cumulative_degree(self.hist)
+
+    @property
+    def grid(self) -> LogGrid:
+        return self.surface.grid
+
+
+def degree_grid(hist: DegreeHistogram, alpha: float) -> LogGrid:
+    """The ``alpha`` grid up to the largest degree of ``hist``, or up to 1
+    if it has none: the grid the edges table is written on and read back
+    on."""
+    return log_grid(alpha, int(hist.degrees[-1]) if hist.degrees.size else 1)
+
+
+def graph_tables(s: SimpleGraph, alpha: float) -> GraphTables:
+    """Histogram, edge-degree matrix, rho surface on :func:`degree_grid`,
+    and neighbor degree profile of ``s``.
+
+    Takes the simple graph, not the multigraph, so that in
+    ``graph_tables(simplify(load(path)), alpha)`` the multigraph is freed
+    as soon as ``simplify`` returns.
+    """
+    hist = degree_histogram(s)
+    matrix = edge_degree_matrix(s)
+    surface = rho_surface(hist, matrix, degree_grid(hist, alpha))
+    return GraphTables(hist, matrix, surface, d_nn_profile(matrix))

@@ -10,6 +10,8 @@ modeled; comparisons against these oracles use statistical tolerances.
 
 :func:`multiplicity_scaling_report` spreads the samples of each size n
 over worker processes, one :func:`pagl._workers.map_seeds` loop per n.
+It loads the chain and the worker runner when called, so the other
+oracles do not load them.
 
 Log-gamma is a self-contained Lanczos approximation (g = 7, 9
 coefficients, listed below) with the reflection formula below 1/2; it is
@@ -31,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._limits import MAX_SHAPE_PAIRS
-from ._workers import map_seeds
-from .buckley_osthus import generate_bo_chain, merge_blocks
+from ._limits import MAX_CHAIN, MAX_SHAPE_PAIRS
 from .graphs import count_multiplicities
 
 __all__ = [
@@ -169,15 +169,25 @@ class MultiplicityScalingReport:
 
 def multiplicity_scaling_report(samples_per_n, n_list, a, m, seed=0, threads=1):
     """Generate ``samples_per_n`` graphs at each n and regress the counts."""
+    from ._workers import map_seeds
+    from .buckley_osthus import generate_bo_chain, merge_blocks
+
     if not (0.0 < a < 1.0):
         raise ValueError("scaling check requires 0 < a < 1")
     if samples_per_n < 1:
         raise ValueError(f"need at least 1 sample per n, got {samples_per_n}")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got m={m}")
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2:
         raise ValueError("n_list needs at least 2 sizes to fit a slope")
+    if min(n_list) < 1:
+        raise ValueError(f"every n must be at least 1, got n={min(n_list)}")
     if any(b <= c for b, c in zip(n_list[1:], n_list)):
         raise ValueError("n_list must be strictly increasing")
+    if m * n_list[-1] > MAX_CHAIN:
+        raise ValueError(f"m*n = {m * n_list[-1]} exceeds the 32-bit id "
+                         f"limit {MAX_CHAIN}")
     base = np.random.SeedSequence(seed)
     mean_loops, mean_multi = np.empty((2, len(n_list)))
     for i, n in enumerate(n_list):

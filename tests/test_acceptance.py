@@ -53,8 +53,8 @@ from pagl.stats import (
     d_nn_profile,
     degree_histogram,
     edge_degree_matrix,
+    graph_tables,
     log_grid,
-    rho_surface,
 )
 from pagl.theory import (
     TheoryParams,
@@ -71,16 +71,6 @@ def check(num, ok, detail):
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'} {detail}"
     print(line, file=sys.__stdout__ or sys.stdout, flush=True)
     assert ok, line
-
-
-def analysis_tables(g):
-    """Simplify a multigraph and build the tables the fits consume."""
-    s = simplify(g)
-    hist = degree_histogram(s)
-    mat = edge_degree_matrix(s)
-    d_max = int(s.degrees().max())
-    grid = log_grid(1.01, d_max)
-    return cumulative_degree(hist), rho_surface(hist, mat, grid), grid, d_max
 
 
 # -- 1: sampled chain law vs exact enumeration ------------------------------
@@ -153,8 +143,8 @@ def test_criterion_02_mean_degree_counts_match_closed_forms():
 
 def test_criterion_03_dual_estimates_recover_planted_a():
     g = generate_bo(BOParams(a=0.5, m=5, n=1_000_000, seed=1))
-    tails, surf, grid, _ = analysis_tables(g)
-    sel = select_range(tails, surf, 3.0, grid)
+    t = graph_tables(simplify(g), 1.01)
+    sel = select_range(t.tails, t.surface, 3.0, t.grid)
     a1, a2 = sel.degree_fit.a, sel.edge_fit.a
     ok = abs(a1 - 0.5) < 0.05 and abs(a2 - 0.5) < 0.05 and abs(a1 - a2) < 0.05
     check(3, ok,
@@ -168,11 +158,12 @@ def test_criterion_03_dual_estimates_recover_planted_a():
 def contrast_fits(g):
     """Fixed tail window anchored at the maximum degree, log-length half
     the observed span capped at 3 decades; identical rule for every model."""
-    tails, surf, grid, d_max = analysis_tables(g)
+    t = graph_tables(simplify(g), 1.01)
+    d_max = int(t.hist.degrees[-1])
     span = math.log10(d_max)
     lo = max(1, math.floor(10.0 ** (span - min(3.0, span / 2.0))))
-    rng = degree_range(grid, lo, d_max)
-    return fit_degree(tails, rng), fit_edges(surf, pair_domain(rng))
+    rng = degree_range(t.grid, lo, d_max)
+    return fit_degree(t.tails, rng), fit_edges(t.surface, pair_domain(rng))
 
 
 def test_criterion_04_baseline_models_separate_the_estimates():
@@ -260,9 +251,8 @@ def test_criterion_07_zero_residual_recovery():
 
 def test_criterion_08_neighbor_degree_profile_decreases():
     g = generate_bo(BOParams(a=0.276, m=12, n=1_000_000, seed=8))
-    s = simplify(g)
-    prof = d_nn_profile(edge_degree_matrix(s))
-    pts = log_grid(1.01, int(prof.d.max())).points
+    t = graph_tables(simplify(g), 1.01)
+    prof, pts = t.profile, t.grid.points
     pts = pts[(pts >= 100) & (pts <= 10_000)]
     mask = np.isin(prof.d, pts)
     rho = float(spearmanr(prof.d[mask], prof.dnn[mask]).correlation)

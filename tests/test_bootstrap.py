@@ -14,8 +14,7 @@ from pagl.graphs import simplify
 from pagl.stats import (
     DegreeHistogram,
     _suffix2d,
-    degree_histogram,
-    edge_degree_matrix,
+    graph_tables,
     log_grid,
     rho_surface,
 )
@@ -23,12 +22,9 @@ from pagl.stats import (
 
 @pytest.fixture(scope="module")
 def bo_tables():
-    s = simplify(generate_bo(BOParams(a=0.5, m=3, n=20000, seed=7)))
-    hist = degree_histogram(s)
-    matrix = edge_degree_matrix(s)
-    grid = log_grid(1.01, int(np.diff(s.indptr).max()))
-    rng = degree_range(grid, 3, 100)
-    return hist, matrix, grid, rng
+    t = graph_tables(
+        simplify(generate_bo(BOParams(a=0.5, m=3, n=20000, seed=7))), 1.01)
+    return t.hist, t.matrix, t.grid, degree_range(t.grid, 3, 100)
 
 
 def digest(rep) -> tuple:

@@ -316,6 +316,13 @@ class TestTheoryCommands:
         assert lines[0] == "d1\td2\texpected"
         assert float(lines[1].split("\t")[2]) == pytest.approx(400.0 / 100.0)
 
+    @pytest.mark.parametrize("pairs", ["a:3", "30:1.5", "5", "1:2:3"])
+    def test_pairs_error_names_the_flag(self, tmp_path, capsys, pairs):
+        assert run("theory", "expected", "--a", 0.5, "--m", 2, "--n", 100,
+                   "--pairs", f"5:2,{pairs}", "--out-prefix", tmp_path / "T") == 2
+        assert capsys.readouterr().err == (
+            f"pagl: --pairs expects d1:d2 integer items, got {pairs!r}\n")
+
     def test_expected_needs_targets(self, tmp_path):
         assert run("theory", "expected", "--a", 1.0, "--m", 1, "--n", 10,
                    "--out-prefix", tmp_path / "T") == 2
@@ -581,13 +588,25 @@ class TestModuleSets:
         (["generate", "--model", "gds", "--gamma", 2.5, "--n", 50,
           "--out", "g.bin"], "baselines",
          "buckley_osthus _workers stats tables fitting bootstrap theory"),
+        (["theory", "expected", "--a", 0.5, "--m", 2, "--n", 100, "--d", 3,
+          "--pairs", "5:2", "--out-prefix", "T"], "theory",
+         "buckley_osthus _workers stats tables fitting bootstrap baselines"),
+        ([*RHO_SHAPE, "--grid-size", 2, "--out-prefix", "T"], "theory",
+         "buckley_osthus _workers stats tables fitting bootstrap baselines"),
+        (["fit", "--degrees", "{A}.degrees.tsv", "--edges", "{A}.edges.tsv",
+          "--auto-range", "--out-prefix", "F"], "stats tables fitting",
+         "theory baselines buckley_osthus"),
     ], ids=["version", "analyze", "theory-multiplicity", "generate-bo",
-            "generate-gds"])
-    def test_loads_only_its_modules(self, tmp_path, argv, runs, skips):
+            "generate-gds", "theory-expected", "theory-rho-shape",
+            "fit-auto-range"])
+    def test_loads_only_its_modules(self, pipeline, tmp_path, argv, runs,
+                                    skips):
         (tmp_path / "p.tsv").write_text("#n 5\n0 1\n1 2\n2 3\n3 4\n")
+        argv = [str(arg).format(A=pipeline / "A") for arg in argv]
         rc, modules = loaded_modules(*argv, cwd=tmp_path)
         assert rc == 0
-        assert {"numpy", "pagl.graphs", f"pagl.{runs}"} <= modules
+        assert {"numpy", "pagl.graphs",
+                *(f"pagl.{name}" for name in runs.split())} <= modules
         assert not {f"pagl.{name}" for name in skips.split()} & modules
 
 

@@ -357,14 +357,11 @@ def test_fit_bit_pin():
     # graph, pinned to the last bit
     from pagl.buckley_osthus import BOParams, generate_bo
     from pagl.graphs import simplify
-    from pagl.stats import cumulative_degree, degree_histogram, \
-        edge_degree_matrix, rho_surface
+    from pagl.stats import graph_tables
 
-    s = simplify(generate_bo(BOParams(a=0.5, m=3, n=20000, seed=7)))
-    hist = degree_histogram(s)
-    grid = log_grid(1.01, int(np.diff(s.indptr).max()))
-    surface = rho_surface(hist, edge_degree_matrix(s), grid)
-    tails = cumulative_degree(hist)
+    t = graph_tables(
+        simplify(generate_bo(BOParams(a=0.5, m=3, n=20000, seed=7))), 1.01)
+    tails, surface, grid = t.tails, t.surface, t.grid
     rng = degree_range(grid, 3, 100)
     sel = select_range(tails, surface, 3.0, grid)
 

@@ -19,8 +19,7 @@ from pagl.bootstrap import bootstrap_edges
 from pagl.buckley_osthus import BOParams, generate_bo
 from pagl.fitting import degree_range, pair_domain
 from pagl.graphs import load_edge_list, save_edge_list, simplify
-from pagl.stats import degree_histogram, edge_degree_matrix, log_grid, \
-    rho_surface
+from pagl.stats import edge_degree_matrix, graph_tables
 from pagl.tables import surface_from_tables, write_edges_tsv
 
 
@@ -39,11 +38,9 @@ def bo(tmp_path_factory):
     save_edge_list(generate_bo(BOParams(a=0.5, m=5, n=60_000, seed=0)),
                    root / "g.tsv")
     s = simplify(load_edge_list(root / "g.tsv"))
-    hist = degree_histogram(s)
-    grid = log_grid(1.01, int(s.degrees().max()))
-    surface = rho_surface(hist, edge_degree_matrix(s), grid)
-    write_edges_tsv(surface, root / "A.edges.tsv")
-    return root, s, hist, grid, surface
+    t = graph_tables(s, 1.01)
+    write_edges_tsv(t.surface, root / "A.edges.tsv")
+    return root, s, t
 
 
 def test_load_edge_list(bo):
@@ -62,7 +59,7 @@ def test_edge_degree_matrix(bo):
 
 
 def test_write_edges_tsv(bo):
-    surface = bo[4]
+    surface = bo[2].surface
     buf = io.BytesIO()
     # the bytes written and one block of rows: 1.74 x the table
     _, used = peak(write_edges_tsv, surface, buf)
@@ -70,20 +67,21 @@ def test_write_edges_tsv(bo):
 
 
 def test_surface_from_tables(bo):
-    root, _, hist, grid, surface = bo
+    root, _, t = bo
     # the three K x K arrays kept and one block of rows: 1.55 x the arrays
-    back, used = peak(surface_from_tables, hist, root / "A.edges.tsv", grid)
+    back, used = peak(surface_from_tables, t.hist, root / "A.edges.tsv",
+                      t.grid)
     kept = back.x_exact.nbytes + back.cum_edges.nbytes + back.rho.nbytes
     assert used < 1.95 * kept
-    assert np.array_equal(back.rho, surface.rho, equal_nan=True)
+    assert np.array_equal(back.rho, t.surface.rho, equal_nan=True)
 
 
 def test_bootstrap_edges(bo):
-    _, s, hist, grid, _ = bo
-    matrix = edge_degree_matrix(s)
-    domain = pair_domain(degree_range(grid, 9, 10_000), 10.0)
+    t = bo[2]
+    domain = pair_domain(degree_range(t.grid, 9, 10_000), 10.0)
     # the tail block, the categories and the Gauss-Newton buffers over
     # the domain, with the tails summed in place: 22.8 float64 per pair
-    rep, used = peak(bootstrap_edges, hist, matrix, domain, grid, 8, 0, 1)
+    rep, used = peak(bootstrap_edges, t.hist, t.matrix, domain, t.grid,
+                     8, 0, 1)
     assert rep.diverged == 0
     assert used < 28 * 8 * len(domain)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     cells_dict,
@@ -20,6 +20,7 @@ from pagl.stats import (
     d_nn_profile,
     degree_histogram,
     edge_degree_matrix,
+    graph_tables,
     histogram_from_degrees,
     log_grid,
     rho_surface,
@@ -200,6 +201,43 @@ class TestNeighborDegree:
         assert float((p.dnn * rowsums).sum()) == pytest.approx(
             float(sum(b * w for (_, b), w in ordered_cells(x).items()))
         )
+
+
+# graphs on at most 30 vertices: none, isolated vertices alone, and
+# edge lists with loops and parallel edges for simplify to drop
+small_graphs = st.integers(0, 30).flatmap(lambda n: st.builds(
+    Graph, st.just(n),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                       st.integers(0, max(n - 1, 0))),
+             max_size=120 if n else 0)))
+
+
+class TestGraphTables:
+    @settings(max_examples=80, deadline=None)
+    @given(small_graphs, st.sampled_from([1.01, 1.2, 2.0]))
+    def test_equals_the_separate_calls(self, g, alpha):
+        s = simplify(g)
+        t = graph_tables(s, alpha)
+        hist, matrix = degree_histogram(s), edge_degree_matrix(s)
+        # the grid runs up to the largest degree, or to 1 without edges
+        top = max(int(s.degrees().max(initial=0)), 1)
+        points = log_grid(alpha, 10**4).points
+        assert t.grid.points.tolist() == points[points <= top].tolist()
+        assert t.grid.alpha == alpha
+        surface = rho_surface(hist, matrix, t.grid)
+        profile = d_nn_profile(matrix)
+        for got, want, fields in (
+                (t.hist, hist, ("degrees", "counts")),
+                (t.matrix, matrix, ("d1", "d2", "x")),
+                (t.surface, surface,
+                 ("cum_deg", "cum_edges", "rho", "x_exact")),
+                (t.profile, profile, ("d", "dnn")),
+                (t.tails, cumulative_degree(hist), ("degrees", "suffix"))):
+            for field in fields:
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), field
+        assert t.hist.n_vertices == hist.n_vertices == g.n
 
 
 class TestEmitters:

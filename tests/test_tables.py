@@ -12,11 +12,8 @@ from pagl.stats import (
     DegreeHistogram,
     EdgeDegreeMatrix,
     NeighborDegreeProfile,
-    d_nn_profile,
-    degree_histogram,
-    edge_degree_matrix,
-    log_grid,
-    rho_surface,
+    degree_grid,
+    graph_tables,
 )
 from pagl.tables import (
     format_rows,
@@ -108,11 +105,13 @@ class TestRoundTrip:
                     max_size=150),
            st.sampled_from([1.01, 1.2, 1.5, 2.0]))
     def test_edges(self, edges, alpha):
-        s = simplify(Graph(30, edges))
-        hist = degree_histogram(s)
-        grid = log_grid(alpha, max(int(s.degrees().max()), 1))
-        surf = rho_surface(hist, edge_degree_matrix(s), grid)
+        t = graph_tables(simplify(Graph(30, edges)), alpha)
+        surf = t.surface
         text = text_of(write_edges_tsv, surf)
+        # fit reads the edges table back on the grid its degrees table gives
+        hist = load_degrees_tsv(io.StringIO(text_of(write_degrees_tsv, t.hist)))
+        grid = degree_grid(hist, alpha)
+        assert np.array_equal(grid.points, t.grid.points)
         back = surface_from_tables(hist, io.StringIO(text), grid)
         # the table holds the cells where rho is defined, and X is read
         # back there only; the tail counts vanish wherever rho does not
@@ -133,17 +132,15 @@ class TestBlocks:
                     max_size=150),
            st.sampled_from([1.01, 1.2, 2.0]), st.integers(1, 4))
     def test_round_trip(self, edges, alpha, block):
-        s = simplify(Graph(30, edges))
-        hist, mat = degree_histogram(s), edge_degree_matrix(s)
-        grid = log_grid(alpha, max(int(s.degrees().max()), 1))
+        gt = graph_tables(simplify(Graph(30, edges)), alpha)
         writers = (write_degrees_tsv, write_edges_tsv, write_dnn_tsv,
                    write_xcells_tsv)
-        tables = (hist, rho_surface(hist, mat, grid), d_nn_profile(mat), mat)
+        tables = (gt.hist, gt.surface, gt.profile, gt.matrix)
         want = [text_of(w, t) for w, t in zip(writers, tables)]
         with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
             assert [text_of(w, t) for w, t in zip(writers, tables)] == want
             back = (load_degrees_tsv(io.StringIO(want[0])),
-                    surface_from_tables(hist, io.StringIO(want[1]), grid),
+                    surface_from_tables(gt.hist, io.StringIO(want[1]), gt.grid),
                     load_dnn_tsv(io.StringIO(want[2])),
                     load_xcells_tsv(io.StringIO(want[3])))
             assert [text_of(w, t) for w, t in zip(writers, back)] == want
@@ -209,11 +206,9 @@ class TestBlocks:
             assert text_of(write_xcells_tsv, back) == text_of(write_xcells_tsv, want)
 
     def test_edges_rows_of_three_and_five_tabs(self):
-        s = simplify(Graph(30, [(i, (3 * i + 1) % 30) for i in range(30)]))
-        hist = degree_histogram(s)
-        grid = log_grid(1.2, int(s.degrees().max()))
-        lines = text_of(write_edges_tsv,
-                        rho_surface(hist, edge_degree_matrix(s), grid)).splitlines()
+        edges = [(i, (3 * i + 1) % 30) for i in range(30)]
+        t = graph_tables(simplify(Graph(30, edges)), 1.2)
+        lines = text_of(write_edges_tsv, t.surface).splitlines()
         assert len(lines) > 3
         short = lines[2].rsplit("\t", 1)[0]
         lines[2], lines[3] = short, lines[3] + "\t0"
@@ -221,16 +216,14 @@ class TestBlocks:
         for block in (1, 2, 1 << 14):
             with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
                 with pytest.raises(ValueError) as err:
-                    surface_from_tables(hist, io.StringIO(text), grid)
+                    surface_from_tables(t.hist, io.StringIO(text), t.grid)
             assert str(err.value) == f"<stream>:3: malformed row {short!r}"
 
     def test_edges_complaints_keep_their_order(self):
-        s = simplify(Graph(30, [(i, (3 * i + 1) % 30) for i in range(30)]
-                           + [(0, i) for i in range(2, 20)]))
-        hist = degree_histogram(s)
-        grid = log_grid(1.2, int(s.degrees().max()))
-        lines = text_of(write_edges_tsv,
-                        rho_surface(hist, edge_degree_matrix(s), grid)).splitlines()
+        edges = ([(i, (3 * i + 1) % 30) for i in range(30)]
+                 + [(0, i) for i in range(2, 20)])
+        t = graph_tables(simplify(Graph(30, edges)), 1.2)
+        lines = text_of(write_edges_tsv, t.surface).splitlines()
         assert len(lines) > 6
         set_field(lines, 1, 4, "nan")  # first block: a rho that is not finite
         set_field(lines, len(lines) - 1, 0, "7777")  # last: a pair off the grid
@@ -238,7 +231,7 @@ class TestBlocks:
         for block in (2, 1 << 14):
             with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
                 with pytest.raises(ValueError, match="7777, .* not on the alpha"):
-                    surface_from_tables(hist, io.StringIO(text), grid)
+                    surface_from_tables(t.hist, io.StringIO(text), t.grid)
 
 
 class TestReaderRejects:

@@ -282,6 +282,28 @@ class TestMultiplicityScaling:
         with pytest.raises(ValueError, match="at least 1 sample"):
             multiplicity_scaling_report(samples, [100, 200], a=0.5, m=1)
 
+    @pytest.mark.parametrize("m, n_list, message", [
+        (0, [100, 200], "m must be at least 1, got m=0"),
+        (2, [0, 100], "every n must be at least 1, got n=0"),
+        (2, [100, 2**30], "m*n = 2147483648 exceeds the 32-bit id limit "
+                          "2147483647"),
+    ], ids=["m-0", "n-0", "m-times-n"])
+    def test_rejects_sizes_before_any_worker(self, m, n_list, message,
+                                             monkeypatch, tmp_path, capsys):
+        def no_fork():
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(ValueError) as err:
+            multiplicity_scaling_report(2, n_list, a=0.5, m=m, threads=2)
+        assert str(err.value) == message
+        assert main(["theory", "multiplicity", "--a", "0.5", "--m", str(m),
+                     "--n-list", ",".join(map(str, n_list)), "--samples", "2",
+                     "--threads", "2", "--out-prefix",
+                     str(tmp_path / "M")]) == 2
+        assert capsys.readouterr().err == f"pagl: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_requires_two_sizes(self):
         with pytest.raises(ValueError, match="at least 2 sizes"):
             multiplicity_scaling_report(2, [100], a=0.5, m=1)
