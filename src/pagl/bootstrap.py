@@ -40,6 +40,7 @@ from .stats import (
     EdgeDegreeMatrix,
     LogGrid,
     _suffix2d,
+    _tail_rho,
     _tail_sums,
     cumulative_degree,
 )
@@ -175,10 +176,8 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
     block = _TailBlock(keys % size // (k + 1), keys % (k + 1), i_idx, j_idx)
     cat_weight = keys // size
     tails = cumulative_degree(hist)
-    denom = tails.at(domain.d1).astype(np.float64) * tails.at(domain.d2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where(denom > 0, block.tails(cat_edges * cat_weight) / denom,
-                       np.nan)
+    rho, denom = _tail_rho(block.tails(cat_edges * cat_weight),
+                           tails.at(domain.d1), tails.at(domain.d2))
     original = _fit_rho(rho, domain)
     if not original.converged:
         raise DivergenceError("edge fit on the original data did not converge")

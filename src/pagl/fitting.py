@@ -111,10 +111,6 @@ class PairDomain:
         if np.any(self.d1 <= self.d2 * self.ratio_cutoff):
             raise ValueError("pair domain contains pairs below the ratio cutoff")
 
-    @property
-    def pairs(self):
-        return list(zip(self.d1.tolist(), self.d2.tolist()))
-
     def __len__(self):
         return self.d1.size
 
@@ -169,39 +165,31 @@ def _solve_step(h, g):
     return None
 
 
-def gauss_newton(residual, jacobian, theta0, *, max_iter=100, max_halvings=30,
-                 step_tol=1e-10) -> GNResult:
-    """Damped Gauss-Newton over mean squared residuals.
+# the solver's limits: iterations, step halvings per line search, and the
+# relative step size that counts as convergence
+_MAX_ITER = 100
+_MAX_HALVINGS = 30
+_STEP_TOL = 1e-10
 
-    Steps are (J^T J)^{-1} J^T r, halved up to ``max_halvings`` times
-    until the objective strictly decreases; a failed line search stops
-    with ``converged=False``, as does a Jacobian that is not finite.
-    Convergence is a relative step below ``step_tol``.  ``trace``
-    records the objective at the start and after every accepted step; it
-    is non-increasing by construction.
 
-    ``residual`` may return a buffer it reuses; GN copies what it keeps.
-    ``jacobian(theta)`` is called only at the ``theta`` that ``residual``
+def gauss_newton(residual, jacobian, theta0) -> GNResult:
+    """Damped Gauss-Newton over mean squared residuals from ``theta0``.
+
+    Steps are (J^T J)^{-1} J^T r, halved up to ``_MAX_HALVINGS`` times
+    until the objective strictly decreases.  Convergence is a relative
+    step below ``_STEP_TOL``; a failed line search, a step that is not
+    finite (as from a Jacobian that is not) and ``_MAX_ITER`` steps each
+    stop the solve with ``converged=False``.  ``trace`` records the objective
+    at the start and after every accepted step; it is non-increasing by
+    construction.
+
+    ``residual`` returns a float64 vector and may return a buffer it
+    reuses; GN copies what it keeps.  ``jacobian(theta)`` returns a
+    float64 matrix and is called only at the ``theta`` that ``residual``
     was last called with, so it may reuse that evaluation's values.
     Overflow and invalid-value warnings are silenced for the whole solve.
     """
-    def vector(th):
-        return np.atleast_1d(np.asarray(residual(th), dtype=np.float64))
-
-    def finite_jacobian(th):
-        jac = np.asarray(jacobian(th), dtype=np.float64)
-        return jac if np.all(np.isfinite(jac)) else None
-
-    theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
-    return _descend(vector, finite_jacobian, theta, max_iter, max_halvings,
-                    step_tol)
-
-
-def _descend(residual, jacobian, theta, max_iter=100, max_halvings=30,
-             step_tol=1e-10) -> GNResult:
-    """:func:`gauss_newton` from the float64 vector ``theta``, for a
-    ``residual`` that returns a float64 vector and a ``jacobian`` that
-    returns a finite float64 matrix, or None for one that is not finite."""
+    theta = np.array(theta0, dtype=np.float64, ndmin=1)
     square = None
 
     def evaluate(th):
@@ -219,22 +207,20 @@ def _descend(residual, jacobian, theta, max_iter=100, max_halvings=30,
         converged = False
         iterations = 0
         if math.isfinite(f):
-            for iterations in range(1, max_iter + 1):
+            for iterations in range(1, _MAX_ITER + 1):
                 jac = jacobian(theta)
-                if jac is None:
-                    break
                 # r is read here, before the line search reuses its buffer
                 delta = _solve_step(jac.T @ jac, jac.T @ r)
                 if delta is None:
                     break
                 scale = 1.0 + _norm(theta)
                 size = _norm(delta)
-                if size <= step_tol * scale:
+                if size <= _STEP_TOL * scale:
                     converged = True
                     break
                 step = 1.0
                 accepted = False
-                for _ in range(max_halvings + 1):
+                for _ in range(_MAX_HALVINGS + 1):
                     candidate = theta - step * delta
                     f_new, r_new = evaluate(candidate)
                     if f_new < f:
@@ -248,13 +234,13 @@ def _descend(residual, jacobian, theta, max_iter=100, max_halvings=30,
                     # No damped step decreases the objective.  When even the
                     # most-damped candidate is already below the step
                     # tolerance this is a stationary point, not divergence.
-                    if size * 0.5 ** max_halvings <= step_tol * scale:
+                    if size * 0.5 ** _MAX_HALVINGS <= _STEP_TOL * scale:
                         converged = True
                     break  # otherwise: persistent non-decrease
-                # step is a power of two no smaller than 2**-max_halvings
-                # and size exceeds step_tol, so step * size is the norm of
+                # step is a power of two no smaller than 2**-_MAX_HALVINGS
+                # and size exceeds _STEP_TOL, so step * size is the norm of
                 # step * delta bit for bit
-                if step * size <= step_tol * scale:
+                if step * size <= _STEP_TOL * scale:
                     converged = True
                     break
     return GNResult(theta=theta, objective=f, iterations=iterations,
@@ -279,7 +265,6 @@ class FitResult:
     converged: bool
     objective: float
     domain_size: int
-    kind: str
     trace: list = field(default_factory=list)
 
 
@@ -291,11 +276,11 @@ class _PowerLaw:
     """Either model over one domain: the covariates ``u`` and ``c``, the
     shift ``k`` and the value-scale model ``raw(a, b)`` are fixed."""
 
-    def __init__(self, kind, u, c, k, raw):
-        self.kind, self.u, self.c, self.k, self.raw = kind, u, c, k, raw
+    def __init__(self, u, c, k, raw):
+        self.u, self.c, self.k, self.raw = u, c, k, raw
         self._du = -0.5 * u  # d(residual)/da over the sqrt-model
 
-    def solve(self, y, a0, lnb0, max_iter=100) -> GNResult:
+    def solve(self, y, a0, lnb0) -> GNResult:
         sqrt_y = np.sqrt(y)
         model, r = np.empty_like(sqrt_y), np.empty_like(sqrt_y)
         jac = np.empty((sqrt_y.size, 2))
@@ -315,16 +300,25 @@ class _PowerLaw:
             np.multiply(model, -0.5, out=jac[:, 1])
             return jac
 
-        return _descend(residual, jacobian, np.array([a0, lnb0]), max_iter)
+        return gauss_newton(residual, jacobian, (a0, lnb0))
 
-    def fit(self, y, a0, lnb0, max_iter) -> FitResult:
-        gn = self.solve(y, a0, lnb0, max_iter)
-        a, b = float(gn.theta[0]), float(math.exp(gn.theta[1]))
+    def fit(self, y, a0, lnb0) -> FitResult:
+        """The fit from (a0, lnb0); raises ValueError when the fitted
+        scale exp(ln b) is not a positive finite float (ln b overflows)."""
+        gn = self.solve(y, a0, lnb0)
+        a, lnb = float(gn.theta[0]), float(gn.theta[1])
+        try:
+            b = math.exp(lnb)
+        except OverflowError:
+            b = math.inf
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"fitted scale exp({lnb!r}) is not a positive "
+                             f"finite float")
         return FitResult(
             a=a, b=b,
             sigma2=float(np.mean((y - self.raw(a, b)) ** 2)),
             iterations=gn.iterations, converged=gn.converged,
-            objective=gn.objective, domain_size=int(y.size), kind=self.kind,
+            objective=gn.objective, domain_size=int(y.size),
             trace=gn.trace,
         )
 
@@ -343,12 +337,12 @@ def _log_start(initial):
 
 def _degree_law(rng: DegreeRange) -> _PowerLaw:
     d = rng.grid_points.astype(np.float64)
-    return _PowerLaw("degree", -np.log(d), 0.0, 1,
+    return _PowerLaw(-np.log(d), 0.0, 1,
                      lambda a, b: degree_model(a, b, d))
 
 
-def fit_degree(cum_deg: TailCounts, rng: DegreeRange, *, initial=None,
-               max_iter=100) -> FitResult:
+def fit_degree(cum_deg: TailCounts, rng: DegreeRange, *,
+               initial=None) -> FitResult:
     """Fit the degree model to the cumulative tail on the range's grid points.
 
     Every grid point must have a positive tail count.  ``initial``
@@ -366,7 +360,7 @@ def fit_degree(cum_deg: TailCounts, rng: DegreeRange, *, initial=None,
         lnb0 = math.log(y[mid_idx] * d[mid_idx] ** (1.0 + a0))
     else:
         a0, lnb0 = _log_start(initial)
-    return _degree_law(rng).fit(y, a0, lnb0, max_iter)
+    return _degree_law(rng).fit(y, a0, lnb0)
 
 
 def _pair_index(points: np.ndarray, domain: PairDomain):
@@ -381,12 +375,12 @@ def _edge_law(domain: PairDomain) -> _PowerLaw:
     b1 = domain.d1.astype(np.float64)
     b2 = domain.d2.astype(np.float64)
     ln_sum = np.log(b1 + b2)
-    return _PowerLaw("edges", np.log(b1) + np.log(b2) - ln_sum, ln_sum, 0,
+    return _PowerLaw(np.log(b1) + np.log(b2) - ln_sum, ln_sum, 0,
                      lambda a, b: edge_model(a, b, b1, b2))
 
 
-def fit_edges(surface: RhoSurface, domain: PairDomain, *, initial=None,
-              max_iter=100) -> FitResult:
+def fit_edges(surface: RhoSurface, domain: PairDomain, *,
+              initial=None) -> FitResult:
     """Fit the edge model to the rho surface over the pair domain.
 
     Rho must be defined (not an omitted cell) at every pair.  Returns a
@@ -394,10 +388,10 @@ def fit_edges(surface: RhoSurface, domain: PairDomain, *, initial=None,
     data).
     """
     y = surface.rho[_pair_index(surface.grid.points, domain)]
-    return _fit_rho(y, domain, initial=initial, max_iter=max_iter)
+    return _fit_rho(y, domain, initial=initial)
 
 
-def _fit_rho(y, domain: PairDomain, *, initial=None, max_iter=100) -> FitResult:
+def _fit_rho(y, domain: PairDomain, *, initial=None) -> FitResult:
     """:func:`fit_edges` on ``y``, the rho values at the domain's pairs."""
     if len(domain) == 0:
         raise ValueError("empty pair domain")
@@ -409,13 +403,13 @@ def _fit_rho(y, domain: PairDomain, *, initial=None, max_iter=100) -> FitResult:
         if pos.sum() < 2:
             return FitResult(a=math.nan, b=math.nan, sigma2=math.nan,
                              iterations=0, converged=False, objective=math.inf,
-                             domain_size=int(y.size), kind="edges")
+                             domain_size=int(y.size))
         coef = np.polyfit(law.u[pos], np.log(y[pos]) - law.c[pos], 1)
         a0 = _clamp(float(coef[0]), -5.0, 10.0)
         lnb0 = float(coef[1])
     else:
         a0, lnb0 = _log_start(initial)
-    return law.fit(y, a0, lnb0, max_iter)
+    return law.fit(y, a0, lnb0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +419,6 @@ def _fit_rho(y, domain: PairDomain, *, initial=None, max_iter=100) -> FitResult:
 class RangeSelection:
     """Chosen fitting window with the fits that won the selection.
 
-    Iterating yields (range, domain) so callers can unpack directly.
     ``window`` is the log10 length actually used after any shrinking.
     """
 
@@ -435,10 +428,6 @@ class RangeSelection:
     product: float
     degree_fit: FitResult
     edge_fit: FitResult
-
-    def __iter__(self):
-        yield self.range
-        yield self.domain
 
 
 # the window search: log10 advance per window, fewest grid points in a

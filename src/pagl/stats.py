@@ -177,9 +177,6 @@ class LogGrid:
     def __len__(self):
         return self.points.size
 
-    def __iter__(self):
-        return iter(self.points.tolist())
-
 
 def log_grid(alpha: float, d_max: int) -> LogGrid:
     """Grid values computed by iterated float multiplication, for a
@@ -262,6 +259,14 @@ def _surface_from_h(points, h):
     return np.where(a[:, None] >= a[None, :], t, t.T)
 
 
+def _tail_rho(cum_edges, tail1, tail2):
+    """rho = cum_edges / (tail1 * tail2), NaN where a tail count is 0, and
+    the float64 tail product it divides by; the tails broadcast."""
+    denom = tail1.astype(np.float64) * tail2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0, cum_edges / denom, np.nan), denom
+
+
 def rho_surface(h: DegreeHistogram, x: EdgeDegreeMatrix, grid: LogGrid) -> RhoSurface:
     points = grid.points
     tails = cumulative_degree(h)
@@ -279,9 +284,7 @@ def rho_surface(h: DegreeHistogram, x: EdgeDegreeMatrix, grid: LogGrid) -> RhoSu
     x_exact[i1[on_grid], i2[on_grid]] = w[on_grid]
     x_exact = np.maximum(x_exact, x_exact.T)
 
-    denom = cum_deg[:, None].astype(np.float64) * cum_deg[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.where(denom > 0, cum_edges / denom, np.nan)
+    rho, _ = _tail_rho(cum_edges, cum_deg[:, None], cum_deg[None, :])
     return RhoSurface(grid, cum_deg, cum_edges, rho, x_exact)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from ._format import _ROW_BLOCK, _lines, _slices, format_rows
 from .graphs import _open_stream, _write_bytes
 from .stats import DegreeHistogram, EdgeDegreeMatrix, LogGrid, \
-    NeighborDegreeProfile, RhoSurface, _grid_index, _tail_sums, \
+    NeighborDegreeProfile, RhoSurface, _grid_index, _tail_rho, _tail_sums, \
     cumulative_degree
 
 __all__ = [
@@ -185,6 +185,12 @@ def _require(name: str, ok: np.ndarray, complaint) -> None:
         raise ValueError(f"{name}: {complaint(int(np.argmin(ok)))}")
 
 
+def _ahead(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Whether each row after the first is past the one before it in
+    (d1, d2) order."""
+    return (d1[1:] > d1[:-1]) | ((d1[1:] == d1[:-1]) & (d2[1:] > d2[:-1]))
+
+
 def load_degrees_tsv(source) -> DegreeHistogram:
     """Rebuild the degree histogram from an analyze degrees table.
 
@@ -211,15 +217,21 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
 
     The table stores grid pairs d1 >= d2 where rho is defined; the grid
     itself is recomputed from ``--alpha`` and the histogram's maximum
-    degree, so the table must come from the same alpha.
+    degree, so the table must come from the same alpha.  Rows must be in
+    strictly increasing (d1, d2) order with non-negative X and Xcum, and
+    each rho must be Xcum over the product of the histogram's tail
+    counts at d1 and d2, bit for bit, as the writer leaves them.
     """
     points = grid.points
     k = points.size
+    cum_deg = cumulative_degree(hist).at(points)
     cum_edges = np.zeros((k, k), dtype=np.int64)
     x_exact = np.zeros((k, k), dtype=np.int64)
     full_rho = np.full((k, k), np.nan)
     # the first complaint of each kind, raised once the table is read
-    off_grid = not_finite = None
+    off_grid = not_finite = bad_row = out_of_order = wrong_rho = None
+    # the last row of the previous block, to check the order across blocks
+    last1 = last2 = np.empty(0, np.int64)
     with _open_stream(edges_path, "r") as stream:
         name = _name(stream)
         for d1, d2, x, xcum, rho in _row_blocks(stream, name, EDGES_HEADER,
@@ -233,17 +245,37 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
             finite = np.isfinite(rho)
             if not_finite is None and not finite.all():
                 r = int(np.argmin(finite))
-                not_finite = f"rho {rho[r]!r} at ({d1[r]}, {d2[r]}) is not finite"
+                not_finite = (f"rho {float(rho[r])!r} at ({d1[r]}, {d2[r]}) "
+                              f"is not finite")
+            fine = (d1 >= d2) & (x >= 0) & (xcum >= 0)
+            if bad_row is None and not fine.all():
+                r = int(np.argmin(fine))
+                bad_row = (f"bad row (d1 {d1[r]}, d2 {d2[r]}, X {x[r]}, "
+                           f"Xcum {xcum[r]})")
+            a1, a2 = np.append(last1, d1), np.append(last2, d2)
+            ahead = _ahead(a1, a2)
+            if out_of_order is None and not ahead.all():
+                r = int(np.argmin(ahead)) + 1
+                out_of_order = (f"row ({a1[r]}, {a2[r]}) is repeated or out "
+                                f"of (d1, d2) order")
+            last1, last2 = d1[-1:], d2[-1:]
             if off_grid is None:
                 for full, values in ((x_exact, x), (cum_edges, xcum),
                                      (full_rho, rho)):
                     full[i, j] = values
                     full[j, i] = values
-    for complaint in (off_grid, not_finite):
+                expected, _ = _tail_rho(xcum, cum_deg[i], cum_deg[j])
+                same = expected == rho
+                if wrong_rho is None and not same.all():
+                    r = int(np.argmin(same))
+                    wrong_rho = (f"rho {float(rho[r])!r} at ({d1[r]}, {d2[r]}) "
+                                 f"is not Xcum / (tail(d1) * tail(d2)) = "
+                                 f"{float(expected[r])!r} on the degrees table")
+    for complaint in (off_grid, not_finite, bad_row, out_of_order, wrong_rho):
         if complaint:
             raise ValueError(f"{name}: {complaint}")
-    return RhoSurface(grid=grid, cum_deg=cumulative_degree(hist).at(points),
-                      cum_edges=cum_edges, rho=full_rho, x_exact=x_exact)
+    return RhoSurface(grid=grid, cum_deg=cum_deg, cum_edges=cum_edges,
+                      rho=full_rho, x_exact=x_exact)
 
 
 def load_dnn_tsv(source) -> NeighborDegreeProfile:
@@ -270,7 +302,7 @@ def load_xcells_tsv(source) -> EdgeDegreeMatrix:
     name, (d1, d2, x) = _read_table(source, XCELLS_HEADER, "iii")
     _require(name, (d1 >= d2) & (x >= 1),
              lambda r: f"bad cell ({d1[r]}, {d2[r]}, {x[r]})")
-    ahead = (d1[1:] > d1[:-1]) | ((d1[1:] == d1[:-1]) & (d2[1:] > d2[:-1]))
-    _require(name, ahead, lambda r: f"cell ({d1[r + 1]}, {d2[r + 1]}) is "
-                                    f"repeated or out of (d1, d2) order")
+    _require(name, _ahead(d1, d2),
+             lambda r: f"cell ({d1[r + 1]}, {d2[r + 1]}) is repeated or out "
+                       f"of (d1, d2) order")
     return EdgeDegreeMatrix(d1=d1, d2=d2, x=x)

@@ -5,15 +5,19 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pagl
 from pagl.cli import main
 from pagl.fitting import _PowerLaw
 from pagl.graphs import load_binary, load_edge_list
+from pagl.stats import DegreeHistogram
+from pagl.tables import EDGES_HEADER, write_degrees_tsv
 
 
 def run(*argv):
@@ -359,6 +363,28 @@ class TestExitCodesAndEnv:
         assert run("fit", "--degrees", bad, "--edges", bad,
                    "--d1-lo", 3, "--d1-hi", 100,
                    "--out-prefix", tmp_path / "Z") == 2
+
+    @settings(max_examples=60, deadline=None)
+    # a tail that a fit matches only with ln b above the float range
+    @example({1000: 10**15, **dict.fromkeys(range(1001, 1100), 1)}, 0, 990, 1010)
+    @given(st.dictionaries(st.integers(1, 10**5), st.integers(1, 10**15),
+                           min_size=1, max_size=30),
+           st.sampled_from([0, 1, 10**15]),
+           st.integers(-2, 2 * 10**5), st.integers(-2, 2 * 10**5))
+    def test_fit_on_valid_tables(self, counts, isolated, lo, hi):
+        # any valid degrees table, with an edges table that holds no
+        # rows, fits, is refused or diverges: never an exception
+        degrees = sorted(counts)
+        hist = DegreeHistogram(np.array(degrees, np.int64),
+                               np.array([counts[d] for d in degrees], np.int64),
+                               sum(counts.values()) + isolated)
+        with tempfile.TemporaryDirectory() as root:
+            write_degrees_tsv(hist, f"{root}/A.degrees.tsv")
+            Path(root, "A.edges.tsv").write_text(EDGES_HEADER + "\n")
+            code = run("fit", "--degrees", f"{root}/A.degrees.tsv",
+                       "--edges", f"{root}/A.edges.tsv", "--d1-lo", lo,
+                       "--d1-hi", hi, "--out-prefix", f"{root}/F")
+        assert code in (0, 2, 3)
 
     def test_threads_default_is_cores(self, tmp_path):
         out = tmp_path / "g.tsv"

@@ -123,6 +123,41 @@ class TestRoundTrip:
         assert text_of(write_edges_tsv, back) == text
 
 
+def swap_first_off_diagonal(lines):
+    row = next(r for r in range(1, len(lines))
+               if lines[r].split("\t")[0] != lines[r].split("\t")[1])
+    fields = lines[row].split("\t")
+    lines[row] = "\t".join([fields[1], fields[0], *fields[2:]])
+
+
+def next_rho(lines, row=1):
+    """Move the rho of ``row`` to the next float up."""
+    rho = float(lines[row].split("\t")[4])
+    set_field(lines, row, 4, repr(float(np.nextafter(rho, np.inf))))
+
+
+def set_field(lines, row, col, value):
+    fields = lines[row].split("\t")
+    fields[col] = value
+    lines[row] = "\t".join(fields)
+
+
+# each change breaks one rule of the edges rows: (change, message)
+EDGES_ROW_RULES = {
+    "repeated row": (lambda ls: ls.insert(3, ls[2]),
+                     r"row \(.*\) is repeated or out of \(d1, d2\) order"),
+    "repeated last row": (lambda ls: ls.append(ls[-1]),
+                          "is repeated or out of"),
+    "unsorted rows": (lambda ls: ls.__setitem__(slice(2, 4), ls[3:1:-1]),
+                      "is repeated or out of"),
+    "d1 < d2": (swap_first_off_diagonal, r"bad row \(d1 \d+, d2 \d+,"),
+    "negative X": (lambda ls: set_field(ls, 2, 2, "-1"), r"bad row .* X -1,"),
+    "negative Xcum": (lambda ls: set_field(ls, 2, 3, "-2"),
+                      r"bad row .* Xcum -2\)"),
+    "rho a float off": (next_rho, r"is not Xcum / \(tail\(d1\) \* tail\(d2\)\)"),
+}
+
+
 class TestBlocks:
     """Tables are written and read a block of rows at a time; neither the
     bytes, the arrays nor the errors show where a block ends."""
@@ -233,6 +268,34 @@ class TestBlocks:
                 with pytest.raises(ValueError, match="7777, .* not on the alpha"):
                     surface_from_tables(t.hist, io.StringIO(text), t.grid)
 
+    @pytest.mark.parametrize("case", sorted(EDGES_ROW_RULES))
+    def test_edges_row_rules(self, case):
+        # each change breaks one rule of the edges rows, wherever the
+        # blocks end, and the message says which
+        change, message = EDGES_ROW_RULES[case]
+        edges = ([(i, (3 * i + 1) % 30) for i in range(30)]
+                 + [(0, i) for i in range(2, 20)])
+        t = graph_tables(simplify(Graph(30, edges)), 1.2)
+        lines = text_of(write_edges_tsv, t.surface).splitlines()
+        change(lines)
+        text = "\n".join(lines) + "\n"
+        for block in (1, 2, 3, 1 << 14):
+            with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+                with pytest.raises(ValueError, match=message):
+                    surface_from_tables(t.hist, io.StringIO(text), t.grid)
+
+    def test_edges_row_rules_come_last(self):
+        edges = [(i, (3 * i + 1) % 30) for i in range(30)]
+        t = graph_tables(simplify(Graph(30, edges)), 1.2)
+        lines = text_of(write_edges_tsv, t.surface).splitlines()
+        lines.insert(2, lines[1])  # first block: a repeated row
+        set_field(lines, len(lines) - 1, 4, "inf")  # last: rho not finite
+        text = "\n".join(lines) + "\n"
+        for block in (2, 1 << 14):
+            with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+                with pytest.raises(ValueError, match="rho inf at .* not finite"):
+                    surface_from_tables(t.hist, io.StringIO(text), t.grid)
+
 
 class TestReaderRejects:
     @given(cells.filter(lambda t: len(t) >= 2), st.data())
@@ -318,17 +381,6 @@ def bootstrap_xcells_table(root, xcells):
                "--out-prefix", root / "B")
 
 
-def set_field(lines, row, col, value):
-    fields = lines[row].split("\t")
-    fields[col] = value
-    lines[row] = "\t".join(fields)
-
-
-def swap_first_off_diagonal(lines):
-    row = next(r for r in range(1, len(lines))
-               if lines[r].split("\t")[0] != lines[r].split("\t")[1])
-    d1, d2, x = lines[row].split("\t")
-    lines[row] = "\t".join([d2, d1, x])
 
 
 EDGES_CASES = {
@@ -338,6 +390,10 @@ EDGES_CASES = {
     "off-grid pair": lambda ls: set_field(ls, 2, 0, "1000000000"),
     "nan rho": lambda ls: set_field(ls, 2, 4, "nan"),
     "non-integer X": lambda ls: set_field(ls, 2, 2, "1.5"),
+    **{case: change for case, (change, _) in EDGES_ROW_RULES.items()},
+    # the same cell twice, the second time with another rho
+    "repeated row, other rho": lambda ls: ls.append(ls[-1].rsplit("\t", 1)[0]
+                                                    + "\t0.5"),
 }
 
 XCELLS_CASES = {
