@@ -39,7 +39,7 @@ from .stats import (
     DegreeHistogram,
     EdgeDegreeMatrix,
     LogGrid,
-    _suffix2d,
+    _TailBlock,
     _tail_rho,
     _tail_sums,
     cumulative_degree,
@@ -116,36 +116,6 @@ def bootstrap_vertices(hist: DegreeHistogram, rng: DegreeRange, B: int = 1000,
     return _finish("degrees", original, one, B, seed, threads)
 
 
-class _TailBlock:
-    """Strict 2-D tails at grid index pairs, from the block of bins they read.
-
-    The tail at pair (i, j) sums the weights of the cells whose row bin
-    exceeds i and whose column bin exceeds j, which is
-    ``_suffix2d(h)[1:, 1:][i, j]`` over the full (k+1)-square histogram
-    ``h``.  Only the rows i + 1 and the columns j + 1 of the pairs bound
-    such a sum, so the grid collapses to one row per distinct i and one
-    column per distinct j: a cell lands in the row and column of the last
-    bound at or below its bins, or is dropped when it sits below every
-    row or column.  Summing integer-valued weights is exact in any order,
-    so the tails equal the full grid's bit for bit.
-    """
-
-    def __init__(self, row_bin, col_bin, i, j):
-        rows, cols = np.unique(i) + 1, np.unique(j) + 1
-        row = np.searchsorted(rows, row_bin, side="right") - 1
-        col = np.searchsorted(cols, col_bin, side="right") - 1
-        self.kept = (row >= 0) & (col >= 0)
-        self.cell = (row * cols.size + col)[self.kept]
-        self.shape = rows.size, cols.size
-        self.at = np.searchsorted(rows, i + 1), np.searchsorted(cols, j + 1)
-
-    def tails(self, weights):
-        """The tails of per-cell ``weights`` at every pair, as float64."""
-        h = np.bincount(self.cell, weights=weights[self.kept],
-                        minlength=self.shape[0] * self.shape[1])
-        return _suffix2d(h.reshape(self.shape))[self.at]
-
-
 def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
                     domain: PairDomain, grid: LogGrid, B: int = 1000,
                     seed: int = 0, threads: int = 1) -> BootstrapReport:
@@ -154,8 +124,9 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
     ``threads`` processes.
 
     The original fit reads its edge tails from the same block of bins as
-    the refits, and its degree tails from the histogram, so no dense
-    surface is built; the sums are integers, so it is ``fit_edges`` on
+    the refits, summed by the strict-tail routine ``rho_surface`` uses
+    (:class:`pagl.stats._TailBlock`), and its degree tails from the
+    histogram; the sums are integers, so it is ``fit_edges`` on
     ``rho_surface(hist, matrix, grid)`` bit for bit.
     """
     _check(B)
@@ -173,7 +144,10 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
     # domain pairs satisfy d1 > d2, so the needed tail entries sit at
     # index pairs (i, j) with i > j and no symmetrization is required
     i_idx, j_idx = _pair_index(points, domain)
-    block = _TailBlock(keys % size // (k + 1), keys % (k + 1), i_idx, j_idx)
+    rows, i = np.unique(i_idx, return_inverse=True)
+    cols, j = np.unique(j_idx, return_inverse=True)
+    block = _TailBlock(keys % size // (k + 1), keys % (k + 1), rows, cols,
+                       (i, j))
     cat_weight = keys // size
     tails = cumulative_degree(hist)
     rho, denom = _tail_rho(block.tails(cat_edges * cat_weight),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._limits import _MAX_WINDOW, _MIN_WINDOW, DivergenceError
-from .stats import LogGrid, RhoSurface, TailCounts, _grid_index
+from .stats import LogGrid, RhoSurface, TailCounts, _grid_index, _packed
 
 __all__ = [
     "DegreeRange",
@@ -383,11 +383,15 @@ def fit_edges(surface: RhoSurface, domain: PairDomain, *,
               initial=None) -> FitResult:
     """Fit the edge model to the rho surface over the pair domain.
 
-    Rho must be defined (not an omitted cell) at every pair.  Returns a
-    diverged result when no sane starting point exists (e.g. all-zero
-    data).
+    Rho must be defined (a row of the edges table) at every pair.
+    Returns a diverged result when no sane starting point exists (e.g.
+    all-zero data).
     """
-    y = surface.rho[_pair_index(surface.grid.points, domain)]
+    at = _packed(*_pair_index(surface.grid.points, domain))
+    # a pair past the surface's last row has no rho
+    y = np.full(at.shape, np.nan)
+    held = at < surface.rho.size
+    y[held] = surface.rho[at[held]]
     return _fit_rho(y, domain, initial=initial)
 
 

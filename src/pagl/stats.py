@@ -3,10 +3,12 @@
 Provides the degree histogram, the edge-degree table X(d1,d2) as one row
 per unordered cell d1 >= d2 with its plain edge count, strict-tail
 cumulative counts, the tail-correlation surface rho on a geometric
-integer grid, and the average neighbor degree profile;
-:func:`graph_tables` builds all four of a graph in one call, on the grid
-:func:`degree_grid` spans.  The surface uses the symmetric convention in
-which an edge joining two degree-d vertices adds 2 to X(d,d);
+integer grid (the edges table in packed columns, its strict edge tails
+summed by :class:`_TailBlock`, as the edge bootstrap's are), and the
+average neighbor degree profile; :func:`graph_tables` builds all four of
+a graph in one call, on the grid :func:`degree_grid` spans.  The surface
+uses the symmetric convention in which an edge joining two degree-d
+vertices adds 2 to X(d,d);
 :meth:`EdgeDegreeMatrix.ordered_weight` is where that doubling lives.
 The TSV form of each table is in :mod:`pagl.tables`.
 """
@@ -203,37 +205,35 @@ def log_grid(alpha: float, d_max: int) -> LogGrid:
 
 @dataclass
 class RhoSurface:
-    """Tail counts and the tail correlation on grid-point pairs.
+    """The edges table's columns over grid-point pairs d1 >= d2.
 
-    ``cum_deg[i]`` is the vertex tail count above ``grid.points[i]``;
-    ``cum_edges`` and ``x_exact`` are dense symmetric K x K arrays; ``rho``
-    is NaN where either tail count vanishes (undefined cells are omitted,
-    not zero-filled).
+    ``cum_deg[i]`` is the vertex tail count above ``grid.points[i]``,
+    positive on the first p grid points only.  ``X``, ``Xcum`` and ``rho``
+    hold the p(p+1)/2 pairs of those points packed row by row: entry
+    ``_packed(i, j)`` is the pair ``(points[i], points[j])``, i >= j.
+    ``rho`` is Xcum over the two vertex tails; NaN marks a pair with no
+    value, as a missing edges-table row would leave it.
     """
 
     grid: LogGrid
     cum_deg: np.ndarray
-    cum_edges: np.ndarray
+    X: np.ndarray
+    Xcum: np.ndarray
     rho: np.ndarray
-    x_exact: np.ndarray
-
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.rho)
 
 
-def _bin_cells(points: np.ndarray, hi, lo, w):
-    """Aggregate unordered cells into (K+1)^2 threshold-bin weights.
+def _packed(i, j):
+    """Position of the grid index pair (i, j), i >= j, in a packed
+    triangle: row i starts at i(i+1)/2."""
+    return i * (i + 1) // 2 + j
 
-    Bin index of a value j is the number of grid points strictly below j,
-    so the suffix sum over bins > (a, b) realizes the strict-tail
-    condition j1 > points[a], j2 > points[b].
-    """
-    k = points.size
-    b1 = np.searchsorted(points, hi, side="left")
-    b2 = np.searchsorted(points, lo, side="left")
-    h = np.zeros((k + 1, k + 1), dtype=np.int64)
-    np.add.at(h, (b1, b2), w)
-    return h
+
+def _unpacked(at):
+    """The grid index pairs (i, j) at the packed positions ``at``; exact
+    below 2**50 (a grid has at most 10**7 points), where the square root
+    cannot round across a row start."""
+    i = ((np.sqrt(8.0 * at + 1.0) - 1.0) // 2).astype(np.int64)
+    return i, at - _packed(i, 0)
 
 
 def _grid_index(points: np.ndarray, values: np.ndarray):
@@ -244,19 +244,35 @@ def _grid_index(points: np.ndarray, values: np.ndarray):
     return idx, on
 
 
-def _suffix2d(h: np.ndarray) -> np.ndarray:
-    """The 2-D suffix sums of ``h``, written over ``h`` (and returned) in
-    the order a fresh ``cumsum`` takes, so with its bits and no copy."""
-    v = h[::-1, ::-1]
-    np.cumsum(v, axis=0, out=v)
-    np.cumsum(v, axis=1, out=v)
-    return h
+class _TailBlock:
+    """Strict 2-D tails at grid index pairs, from the block of bins they read.
 
+    A cell's bin is the number of grid points strictly below its degree;
+    the tail at pair (i, j) sums the cells whose row bin exceeds i and
+    whose column bin exceeds j.  Only the pairs' distinct grid ``rows``
+    and ``cols`` bound such sums, so a cell lands in the last row and
+    column at or below its bins (or nowhere), and the 2-D suffix sums of
+    that block, read at each pair's position ``at``, are the tails.
+    """
 
-def _surface_from_h(points, h):
-    t = _suffix2d(h)[1:, 1:]
-    a = np.arange(points.size)
-    return np.where(a[:, None] >= a[None, :], t, t.T)
+    def __init__(self, row_bin, col_bin, rows, cols, at):
+        row = np.searchsorted(rows + 1, row_bin, side="right") - 1
+        col = np.searchsorted(cols + 1, col_bin, side="right") - 1
+        self.kept = (row >= 0) & (col >= 0)
+        self.cell = (row * cols.size + col)[self.kept]
+        self.shape = rows.size, cols.size
+        self.at = at[0] * cols.size + at[1]  # flat, for one take
+
+    def tails(self, weights):
+        """The tails of integer-valued per-cell ``weights`` at every pair,
+        as int64; exact while the block's sums stay below 2**53."""
+        h = np.bincount(self.cell, weights=weights[self.kept],
+                        minlength=self.shape[0] * self.shape[1])
+        h = h.astype(np.int64)  # integer suffix sums take half the time
+        v = h.reshape(self.shape)[::-1, ::-1]
+        np.cumsum(v, axis=0, out=v)
+        np.cumsum(v, axis=1, out=v)
+        return h.take(self.at)
 
 
 def _tail_rho(cum_edges, tail1, tail2):
@@ -269,23 +285,19 @@ def _tail_rho(cum_edges, tail1, tail2):
 
 def rho_surface(h: DegreeHistogram, x: EdgeDegreeMatrix, grid: LogGrid) -> RhoSurface:
     points = grid.points
-    tails = cumulative_degree(h)
-    cum_deg = tails.at(points)
-
-    hi, lo = x.d1, x.d2
+    cum_deg = cumulative_degree(h).at(points)
+    # the tails fall along the grid, so the positive ones come first
+    p = np.count_nonzero(cum_deg)
     w = x.x * x.ordered_weight()
-    cum_edges = _surface_from_h(points, _bin_cells(points, hi, lo, w))
-
-    k = points.size
-    x_exact = np.zeros((k, k), dtype=np.int64)
-    i1, on1 = _grid_index(points, hi)
-    i2, on2 = _grid_index(points, lo)
-    on_grid = on1 & on2
-    x_exact[i1[on_grid], i2[on_grid]] = w[on_grid]
-    x_exact = np.maximum(x_exact, x_exact.T)
-
-    rho, _ = _tail_rho(cum_edges, cum_deg[:, None], cum_deg[None, :])
-    return RhoSurface(grid, cum_deg, cum_edges, rho, x_exact)
+    # a cell's index on the grid is its bin: the grid points below it
+    (i, j), on_grid = _grid_index(points, np.stack([x.d1, x.d2]))
+    span, pairs = np.arange(p), np.tril_indices(p)
+    Xcum = _TailBlock(i, j, span, span, pairs).tails(w)
+    rho, _ = _tail_rho(Xcum, cum_deg[pairs[0]], cum_deg[pairs[1]])
+    inside = on_grid.all(axis=0) & (i < p)
+    X = np.zeros_like(Xcum)
+    X[_packed(i[inside], j[inside])] = w[inside]
+    return RhoSurface(grid, cum_deg, X, Xcum, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each table is a header line, then one tab-separated row per entry:
 
 * degrees: ``d count cumulative`` (:class:`DegreeHistogram`);
-* edges: ``d1 d2 X Xcum rho`` (:class:`RhoSurface`, read back against a
-  grid);
+* edges: ``d1 d2 X Xcum rho`` (:class:`RhoSurface`, column for column:
+  the p(p+1)/2 grid pairs d1 >= d2 of the grid points with a positive
+  tail count, read back against the grid);
 * dnn: ``d dnn`` (:class:`NeighborDegreeProfile`);
 * xcells: ``d1 d2 x`` (:class:`EdgeDegreeMatrix`, row for row).
 
@@ -19,15 +20,15 @@ repeated, out of order, or inconsistent with one another.
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
 from ._format import _ROW_BLOCK, _lines, _slices, format_rows
 from .graphs import _open_stream, _write_bytes
 from .stats import DegreeHistogram, EdgeDegreeMatrix, LogGrid, \
-    NeighborDegreeProfile, RhoSurface, _grid_index, _tail_rho, _tail_sums, \
-    cumulative_degree
+    NeighborDegreeProfile, RhoSurface, _grid_index, _packed, _tail_rho, \
+    _tail_sums, _unpacked, cumulative_degree
 
 __all__ = [
     "format_rows",
@@ -68,24 +69,20 @@ def write_degrees_tsv(h: DegreeHistogram, sink) -> None:
            _slices((d, c, cumulative_degree(h).at(d)), _ROW_BLOCK))
 
 
-def _edge_rows(surface: RhoSurface):
-    """The edges table's columns, a block of grid rows at a time."""
-    points = surface.grid.points
-    k = points.size
-    step = max(1, _ROW_BLOCK // max(k, 1))
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        # pairs d1 >= d2 where rho is defined, row-major
-        a, b = np.nonzero(np.tril(~np.isnan(surface.rho[lo:hi, :hi]), lo))
-        a += lo
-        yield (points[a], points[b], surface.x_exact[a, b],
-               surface.cum_edges[a, b], surface.rho[a, b])
-
-
 def write_edges_tsv(surface: RhoSurface, sink) -> None:
-    """Rows ``d1<TAB>d2<TAB>X<TAB>Xcum<TAB>rho`` over grid pairs d1 >= d2
-    where rho is defined, row-major; X doubles the diagonal."""
-    _write(sink, EDGES_HEADER, _edge_rows(surface))
+    """Rows ``d1<TAB>d2<TAB>X<TAB>Xcum<TAB>rho``: the surface's packed
+    pairs d1 >= d2, row-major; X doubles the diagonal."""
+    points = surface.grid.points
+
+    def blocks():
+        columns = (surface.X, surface.Xcum, surface.rho)
+        for lo, (x, xcum, rho) in zip(count(0, _ROW_BLOCK),
+                                      _slices(columns, _ROW_BLOCK)):
+            # one gather, so no index array lives while the block is written
+            d1, d2 = points[np.stack(_unpacked(np.arange(lo, lo + rho.size)))]
+            yield d1, d2, x, xcum, rho
+
+    _write(sink, EDGES_HEADER, blocks())
 
 
 def write_dnn_tsv(profile: NeighborDegreeProfile, sink) -> None:
@@ -215,19 +212,19 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
                         grid: LogGrid) -> RhoSurface:
     """Rebuild the rho surface from an analyze edges table.
 
-    The table stores grid pairs d1 >= d2 where rho is defined; the grid
-    itself is recomputed from ``--alpha`` and the histogram's maximum
-    degree, so the table must come from the same alpha.  Rows must be in
-    strictly increasing (d1, d2) order with non-negative X and Xcum, and
-    each rho must be Xcum over the product of the histogram's tail
-    counts at d1 and d2, bit for bit, as the writer leaves them.
+    The table holds one row per grid pair d1 >= d2 of the p grid points
+    with a positive tail count, p(p+1)/2 rows in all; the grid itself is
+    recomputed from ``--alpha`` and the histogram's maximum degree, so the
+    table must come from the same alpha.  Rows must be in strictly
+    increasing (d1, d2) order with non-negative X and Xcum, each rho must
+    be Xcum over the product of the histogram's tail counts at d1 and d2,
+    bit for bit, and no row may be missing, as the writer leaves them.
     """
     points = grid.points
-    k = points.size
     cum_deg = cumulative_degree(hist).at(points)
-    cum_edges = np.zeros((k, k), dtype=np.int64)
-    x_exact = np.zeros((k, k), dtype=np.int64)
-    full_rho = np.full((k, k), np.nan)
+    p = np.count_nonzero(cum_deg)
+    X, Xcum = np.zeros((2, p * (p + 1) // 2), np.int64)
+    packed_rho = np.full(X.size, np.nan)
     # the first complaint of each kind, raised once the table is read
     off_grid = not_finite = bad_row = out_of_order = wrong_rho = None
     # the last row of the previous block, to check the order across blocks
@@ -260,10 +257,11 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
                                 f"of (d1, d2) order")
             last1, last2 = d1[-1:], d2[-1:]
             if off_grid is None:
-                for full, values in ((x_exact, x), (cum_edges, xcum),
-                                     (full_rho, rho)):
-                    full[i, j] = values
-                    full[j, i] = values
+                # a row past the p-th grid point has no place in the
+                # triangle; its rho is not Xcum over a zero tail product
+                held = (j <= i) & (i < p)
+                at = _packed(i[held], j[held])
+                X[at], Xcum[at], packed_rho[at] = x[held], xcum[held], rho[held]
                 expected, _ = _tail_rho(xcum, cum_deg[i], cum_deg[j])
                 same = expected == rho
                 if wrong_rho is None and not same.all():
@@ -274,8 +272,12 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
     for complaint in (off_grid, not_finite, bad_row, out_of_order, wrong_rho):
         if complaint:
             raise ValueError(f"{name}: {complaint}")
-    return RhoSurface(grid=grid, cum_deg=cum_deg, cum_edges=cum_edges,
-                      rho=full_rho, x_exact=x_exact)
+    # rows left out leave their rho NaN, as no row read in can
+    if np.isnan(packed_rho).any():
+        i, j = _unpacked(np.argmax(np.isnan(packed_rho)))
+        raise ValueError(f"{name}: row ({points[i]}, {points[j]}) is missing")
+    return RhoSurface(grid=grid, cum_deg=cum_deg, X=X, Xcum=Xcum,
+                      rho=packed_rho)
 
 
 def load_dnn_tsv(source) -> NeighborDegreeProfile:

@@ -215,6 +215,7 @@ def test_criterion_07_zero_residual_recovery():
     pts = dr.grid_points.astype(np.float64)
     gp = grid.points.astype(np.float64)
     k = len(grid)
+    i, j = np.tril_indices(k)  # the surface's pairs d1 >= d2, row by row
     rng = np.random.default_rng(77)
     worst_a = worst_b = 0.0
     all_converged = all_monotone = True
@@ -226,9 +227,8 @@ def test_criterion_07_zero_residual_recovery():
         tails = TailCounts(dr.grid_points,
                            np.concatenate([[vals[0] * 10.0], vals]))
         surf = RhoSurface(grid, np.ones(k, np.int64),
-                          np.ones((k, k), np.int64),
-                          edge_model(a_true, b_edge, gp[:, None], gp[None, :]),
-                          np.ones((k, k), np.int64))
+                          np.ones(i.size, np.int64), np.ones(i.size, np.int64),
+                          edge_model(a_true, b_edge, gp[i], gp[j]))
         # default start plus a distant start, for both model families
         fits = [(fit_degree(tails, dr), b_deg),
                 (fit_degree(tails, dr, initial=(2.9, b_deg * 300.0)), b_deg),

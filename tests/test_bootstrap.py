@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from oracles import assert_no_children, strict_tails_at
-from pagl.bootstrap import _TailBlock, bootstrap_edges, bootstrap_vertices
+from pagl.bootstrap import bootstrap_edges, bootstrap_vertices
 from pagl.buckley_osthus import BOParams, generate_bo
 from pagl.fitting import DivergenceError, _PowerLaw, degree_range, \
     fit_edges, pair_domain
 from pagl.graphs import simplify
 from pagl.stats import (
     DegreeHistogram,
-    _suffix2d,
+    _TailBlock,
     graph_tables,
     log_grid,
     rho_surface,
@@ -232,8 +232,19 @@ class TestTailBlock:
         i[0] = j[-1] = 0  # the domain touches grid row and column 0
         full = np.bincount(row_bin * (k + 1) + col_bin, weights=weights,
                            minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
-        expected = _suffix2d(full)[1:, 1:][i, j]
-        tails = _TailBlock(row_bin, col_bin, i, j).tails(weights)
-        assert tails.tobytes() == expected.tobytes()
+        tails = full[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
+        # the edge bootstrap's block: the domain's distinct rows and columns
+        rows, r = np.unique(i, return_inverse=True)
+        cols, c = np.unique(j, return_inverse=True)
+        got = _TailBlock(row_bin, col_bin, rows, cols, (r, c)).tails(weights)
+        assert got.dtype == np.int64
+        assert got.tobytes() == tails[1:, 1:][i, j].astype(np.int64).tobytes()
         np.testing.assert_array_equal(
-            tails, strict_tails_at(row_bin, col_bin, weights, i, j))
+            got, strict_tails_at(row_bin, col_bin, weights, i, j))
+        # rho_surface's block: every pair d1 >= d2 of the first p points
+        p = int(gen.integers(0, k + 1))
+        span, (i, j) = np.arange(p), np.tril_indices(p)
+        got = _TailBlock(row_bin, col_bin, span, span, (i, j)).tails(weights)
+        assert got.tobytes() == tails[1:, 1:][i, j].astype(np.int64).tobytes()
+        np.testing.assert_array_equal(
+            got, strict_tails_at(row_bin, col_bin, weights, i, j))

@@ -16,8 +16,9 @@ import pagl
 from pagl.cli import main
 from pagl.fitting import _PowerLaw
 from pagl.graphs import load_binary, load_edge_list
-from pagl.stats import DegreeHistogram
-from pagl.tables import EDGES_HEADER, write_degrees_tsv
+from pagl.stats import DegreeHistogram, EdgeDegreeMatrix, degree_grid, \
+    rho_surface
+from pagl.tables import EDGES_HEADER, write_degrees_tsv, write_edges_tsv
 
 
 def run(*argv):
@@ -373,7 +374,8 @@ class TestExitCodesAndEnv:
            st.integers(-2, 2 * 10**5), st.integers(-2, 2 * 10**5))
     def test_fit_on_valid_tables(self, counts, isolated, lo, hi):
         # any valid degrees table, with an edges table that holds no
-        # rows, fits, is refused or diverges: never an exception
+        # rows, fits, is refused (for the rows it lacks, whenever a grid
+        # point has a positive tail) or diverges: never an exception
         degrees = sorted(counts)
         hist = DegreeHistogram(np.array(degrees, np.int64),
                                np.array([counts[d] for d in degrees], np.int64),
@@ -385,6 +387,26 @@ class TestExitCodesAndEnv:
                        "--edges", f"{root}/A.edges.tsv", "--d1-lo", lo,
                        "--d1-hi", hi, "--out-prefix", f"{root}/F")
         assert code in (0, 2, 3)
+
+    def test_fit_scale_overflow_is_3(self, tmp_path):
+        # the tail of the @example above, with its complete edges table of
+        # a graph without edges: the degree fit needs ln b above the
+        # float range and is refused, and the edge fit diverges on zeros
+        counts = {1000: 10**15, **dict.fromkeys(range(1001, 1100), 1)}
+        degrees = sorted(counts)
+        hist = DegreeHistogram(np.array(degrees, np.int64),
+                               np.array([counts[d] for d in degrees], np.int64),
+                               sum(counts.values()))
+        no_edges = EdgeDegreeMatrix(*[np.empty(0, np.int64)] * 3)
+        write_degrees_tsv(hist, tmp_path / "A.degrees.tsv")
+        write_edges_tsv(rho_surface(hist, no_edges, degree_grid(hist, 1.01)),
+                        tmp_path / "A.edges.tsv")
+        assert run("fit", "--degrees", tmp_path / "A.degrees.tsv",
+                   "--edges", tmp_path / "A.edges.tsv", "--d1-lo", 990,
+                   "--d1-hi", 1010, "--out-prefix", tmp_path / "F") == 3
+        report = json.loads((tmp_path / "F.fit.json").read_text())
+        assert "is not a positive finite float" in report["degree"]["error"]
+        assert report["edge"]["converged"] is False
 
     def test_threads_default_is_cores(self, tmp_path):
         out = tmp_path / "g.tsv"

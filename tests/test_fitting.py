@@ -35,17 +35,18 @@ def synthetic_tails(pts, a, b, noise=None):
     return TailCounts(pts, np.concatenate([[vals[0] * 10.0], vals]))
 
 
+def packed_surface(grid, rho):
+    """A surface over every pair of ``grid`` (all tails positive) holding
+    ``rho``, packed row by row; X and Xcum are ones."""
+    return RhoSurface(grid, np.ones(len(grid), dtype=np.int64),
+                      np.ones(rho.size, dtype=np.int64),
+                      np.ones(rho.size, dtype=np.int64), rho)
+
+
 def synthetic_surface(a, b, grid=GRID):
     pts = grid.points.astype(np.float64)
-    rho = edge_model(a, b, pts[:, None], pts[None, :])
-    k = len(grid)
-    return RhoSurface(
-        grid,
-        np.ones(k, dtype=np.int64),
-        np.ones((k, k), dtype=np.int64),
-        rho,
-        np.ones((k, k), dtype=np.int64),
-    )
+    i, j = np.tril_indices(len(grid))
+    return packed_surface(grid, edge_model(a, b, pts[i], pts[j]))
 
 
 class TestModels:
@@ -323,15 +324,28 @@ class TestFitEdges:
 
     def test_rejects_undefined_rho(self):
         surf = synthetic_surface(0.5, 3e-4)
-        surf.rho[-1, :] = np.nan
-        surf.rho[:, -1] = np.nan
+        i, j = np.tril_indices(len(GRID))
+        surf.rho[(i == len(GRID) - 1) | (j == len(GRID) - 1)] = np.nan
         dom = pair_domain(degree_range(GRID, 10, 10_000), 10.0)
         with pytest.raises(ValueError):
             fit_edges(surf, dom)
 
+    def test_rejects_pair_past_the_last_row(self):
+        # no vertex tail above the last grid point: the table, and so the
+        # packed surface, stops a row short of the domain's top pairs
+        k = len(GRID)
+        full = synthetic_surface(0.5, 3e-4)
+        surf = RhoSurface(GRID, np.append(np.ones(k - 1, np.int64), 0),
+                          full.X[:-k], full.Xcum[:-k], full.rho[:-k])
+        dom = pair_domain(degree_range(GRID, 10, 10_000), 10.0)
+        with pytest.raises(ValueError, match="undefined"):
+            fit_edges(surf, dom)
+        below = pair_domain(degree_range(GRID, 10, int(GRID.points[-2])), 10.0)
+        assert fit_edges(surf, below).a == fit_edges(full, below).a
+
     def test_all_zero_data_diverges(self):
         surf = synthetic_surface(0.5, 3e-4)
-        surf.rho[:, :] = 0.0
+        surf.rho[:] = 0.0
         dom = pair_domain(degree_range(GRID, 10, 10_000), 10.0)
         fit = fit_edges(surf, dom)
         assert not fit.converged
@@ -364,13 +378,7 @@ class TestSelectRange:
         pts = grid.points
         tails = synthetic_tails(pts, 0.5, 100.0)
         k = len(grid)
-        surf = RhoSurface(
-            grid,
-            np.ones(k, dtype=np.int64),
-            np.ones((k, k), dtype=np.int64),
-            np.full((k, k), np.nan),
-            np.ones((k, k), dtype=np.int64),
-        )
+        surf = packed_surface(grid, np.full(k * (k + 1) // 2, np.nan))
         with pytest.raises(ValueError):
             select_range(tails, surf, window=3.0, grid=grid)
 

@@ -1,12 +1,13 @@
 """Memory bounds of the analyze and fit layers on a generated BO graph.
 
 Each bound is the tracemalloc peak of one call as a multiple of the size
-of its file, of the arrays it returns, or (for the edge bootstrap) of one
-float64 per domain pair, with about 25% headroom over the peak measured
-when the bound was set (BO a = 0.5, m = 5, n = 60000, seed 0, numpy
-2.4).  Reading a file or a table whole, or building the
-whole of a table's text at once, takes several times more and fails the
-bound.
+of its file, of the arrays it returns (for the rho surface, its three
+packed columns), or (for the edge bootstrap) of one float64 per domain
+pair, with about 25% headroom over the peak measured when the bound was
+set (BO a = 0.5, m = 5, n = 60000, seed 0, numpy 2.4); the edges writer
+may hold the bytes it wrote and the surface's packed columns once more.
+Reading a file or a table whole, or building the whole of a table's text
+at once, takes several times more and fails the bound.
 """
 
 import io
@@ -19,7 +20,7 @@ from pagl.bootstrap import bootstrap_edges
 from pagl.buckley_osthus import BOParams, generate_bo
 from pagl.fitting import degree_range, pair_domain
 from pagl.graphs import load_edge_list, save_edge_list, simplify
-from pagl.stats import edge_degree_matrix, graph_tables
+from pagl.stats import edge_degree_matrix, graph_tables, rho_surface
 from pagl.tables import surface_from_tables, write_edges_tsv
 
 
@@ -58,22 +59,37 @@ def test_edge_degree_matrix(bo):
     assert used < 2.2 * 8 * s.num_edges
 
 
+def packed(surface) -> int:
+    """The bytes of the surface's three packed columns."""
+    return surface.X.nbytes + surface.Xcum.nbytes + surface.rho.nbytes
+
+
+def test_rho_surface(bo):
+    t = bo[2]
+    # the packed columns, the packed pairs' grid indices and their tail
+    # products, or the square block of tails: 2.78 x the columns
+    surface, used = peak(rho_surface, t.hist, t.matrix, t.grid)
+    assert used < 3.5 * packed(surface)
+    assert surface.rho.tobytes() == t.surface.rho.tobytes()
+
+
 def test_write_edges_tsv(bo):
     surface = bo[2].surface
     buf = io.BytesIO()
-    # the bytes written and one block of rows: 1.74 x the table
+    # the bytes written and one block of rows, which takes 0.81 x the
+    # packed columns; gathering a whole column of pairs takes more
     _, used = peak(write_edges_tsv, surface, buf)
-    assert used < 2.2 * len(buf.getvalue())
+    assert used < len(buf.getvalue()) + packed(surface)
 
 
 def test_surface_from_tables(bo):
     root, _, t = bo
-    # the three K x K arrays kept and one block of rows: 1.55 x the arrays
+    # the three packed columns kept and one block of rows: 2.25 x the
+    # columns; a K x K array of each takes twice the columns more
     back, used = peak(surface_from_tables, t.hist, root / "A.edges.tsv",
                       t.grid)
-    kept = back.x_exact.nbytes + back.cum_edges.nbytes + back.rho.nbytes
-    assert used < 1.95 * kept
-    assert np.array_equal(back.rho, t.surface.rho, equal_nan=True)
+    assert used < 2.8 * packed(back)
+    assert back.rho.tobytes() == t.surface.rho.tobytes()
 
 
 def test_bootstrap_edges(bo):

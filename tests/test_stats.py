@@ -16,6 +16,8 @@ from oracles import (
 )
 from pagl.graphs import Graph, simplify
 from pagl.stats import (
+    _packed,
+    _unpacked,
     cumulative_degree,
     d_nn_profile,
     degree_histogram,
@@ -169,10 +171,11 @@ class TestRhoSurface:
         grid = log_grid(1.5, 2)  # points [1, 2]
         surf = rho_surface(degree_histogram(s), edge_degree_matrix(s), grid)
         assert surf.cum_deg.tolist() == [1, 0]
-        assert surf.cum_edges.tolist() == [[0, 0], [0, 0]]
-        assert surf.x_exact[1, 0] == 2 and surf.x_exact[0, 1] == 2
-        assert surf.rho[0, 0] == 0.0
-        assert surf.defined().tolist() == [[True, False], [False, False]]
+        # only grid point 1 has a positive tail, so the triangle holds the
+        # one pair (1, 1); the edges (2, 1) sit past its last row
+        assert surf.Xcum.tolist() == [0]
+        assert surf.X.tolist() == [0]
+        assert surf.rho.tolist() == [0.0]
 
     def test_matches_tail_evaluator(self):
         s = random_simple(3)
@@ -182,9 +185,32 @@ class TestRhoSurface:
         surf = rho_surface(h, x, grid)
         t = cumulative_edges(x)
         pts = grid.points
-        expect = t.at(pts[:, None], pts[None, :])
-        assert (surf.cum_edges == expect).all()
         assert (surf.cum_deg == cumulative_degree(h).at(pts)).all()
+        p = int((surf.cum_deg > 0).sum())
+        i, j = np.tril_indices(p)
+        assert surf.Xcum.dtype == np.int64
+        assert (surf.Xcum == t.at(pts[i], pts[j])).all()
+        cells = cells_dict(x)
+        assert surf.X.tolist() == [
+            cells.get((d1, d2), 0) * (1 + (d1 == d2))
+            for d1, d2 in zip(pts[i].tolist(), pts[j].tolist())]
+        assert surf.rho.tobytes() == (
+            surf.Xcum / (surf.cum_deg[i].astype(np.float64)
+                         * surf.cum_deg[j])).tobytes()
+
+    def test_packing_inverts(self):
+        for p in (0, 1, 2, 7, 600):
+            i, j = np.tril_indices(p)
+            at = np.arange(i.size)
+            assert (_packed(i, j) == at).all()
+            got = _unpacked(at)
+            assert got[0].tolist() == i.tolist() and got[1].tolist() == j.tolist()
+        # rows far beyond the 10**7 points a grid may have
+        i = np.array([2**26 - 1, 2**26, 3 * 10**7 + 1], np.int64)
+        for j in (np.zeros_like(i), i):
+            got = _unpacked(_packed(i, j))
+            assert got[0].tolist() == i.tolist()
+            assert got[1].tolist() == j.tolist()
 
 
 class TestNeighborDegree:
@@ -230,7 +256,7 @@ class TestGraphTables:
                 (t.hist, hist, ("degrees", "counts")),
                 (t.matrix, matrix, ("d1", "d2", "x")),
                 (t.surface, surface,
-                 ("cum_deg", "cum_edges", "rho", "x_exact")),
+                 ("cum_deg", "X", "Xcum", "rho")),
                 (t.profile, profile, ("d", "dnn")),
                 (t.tails, cumulative_degree(hist), ("degrees", "suffix"))):
             for field in fields:

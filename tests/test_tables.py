@@ -113,13 +113,14 @@ class TestRoundTrip:
         grid = degree_grid(hist, alpha)
         assert np.array_equal(grid.points, t.grid.points)
         back = surface_from_tables(hist, io.StringIO(text), grid)
-        # the table holds the cells where rho is defined, and X is read
-        # back there only; the tail counts vanish wherever rho does not
+        # the table holds every pair of the grid points with a positive
+        # tail count, so every column reads back whole
+        p = int((surf.cum_deg > 0).sum())
+        assert len(text.splitlines()) == 1 + p * (p + 1) // 2
         assert np.array_equal(back.cum_deg, surf.cum_deg)
-        assert np.array_equal(back.rho, surf.rho, equal_nan=True)
-        assert np.array_equal(back.cum_edges, surf.cum_edges)
-        assert np.array_equal(back.x_exact,
-                              np.where(surf.defined(), surf.x_exact, 0))
+        for column in ("X", "Xcum", "rho"):
+            got, want = getattr(back, column), getattr(surf, column)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert text_of(write_edges_tsv, back) == text
 
 
@@ -155,6 +156,8 @@ EDGES_ROW_RULES = {
     "negative Xcum": (lambda ls: set_field(ls, 2, 3, "-2"),
                       r"bad row .* Xcum -2\)"),
     "rho a float off": (next_rho, r"is not Xcum / \(tail\(d1\) \* tail\(d2\)\)"),
+    "missing row": (lambda ls: ls.pop(3), r"row \(\d+, \d+\) is missing"),
+    "missing last row": (lambda ls: ls.pop(), r"row \(\d+, \d+\) is missing"),
 }
 
 
@@ -296,6 +299,22 @@ class TestBlocks:
                 with pytest.raises(ValueError, match="rho inf at .* not finite"):
                     surface_from_tables(t.hist, io.StringIO(text), t.grid)
 
+    def test_missing_row_comes_after_the_others(self):
+        edges = [(i, (3 * i + 1) % 30) for i in range(30)]
+        t = graph_tables(simplify(Graph(30, edges)), 1.2)
+        lines = text_of(write_edges_tsv, t.surface).splitlines()
+        gone = lines.pop(2).split("\t")  # first block: a missing row
+        next_rho(lines, len(lines) - 1)  # last: a rho a float off
+        text = "\n".join(lines) + "\n"
+        for block in (2, 1 << 14):
+            with mock.patch.object(pagl.tables, "_ROW_BLOCK", block):
+                with pytest.raises(ValueError, match="is not Xcum"):
+                    surface_from_tables(t.hist, io.StringIO(text), t.grid)
+        lines[-1] = text_of(write_edges_tsv, t.surface).splitlines()[-1]
+        with pytest.raises(ValueError) as err:
+            surface_from_tables(t.hist, io.StringIO("\n".join(lines)), t.grid)
+        assert str(err.value) == f"<stream>: row ({gone[0]}, {gone[1]}) is missing"
+
 
 class TestReaderRejects:
     @given(cells.filter(lambda t: len(t) >= 2), st.data())
@@ -435,6 +454,33 @@ class TestCliRejectsBadTables:
         assert fit_edges_table(tables, tables / "A.edges.tsv") == 0
         assert fit_degrees_table(tables, tables / "A.degrees.tsv") == 0
         assert bootstrap_xcells_table(tables, tables / "A.xcells.tsv") == 0
+
+    def test_edges_table_missing_a_row(self, tmp_path, capsys):
+        # without row (31, 3) this table fits to a2 = 0.1077, where the
+        # whole table gives 0.0691; the reader refuses it instead
+        assert run("generate", "--model", "bo", "--a", 0.5, "--m", 3,
+                   "--n", 3000, "--seed", 1, "--out", tmp_path / "g.tsv") == 0
+        assert run("analyze", "--graph", tmp_path / "g.tsv",
+                   "--out-prefix", tmp_path / "A") == 0
+        lines = (tmp_path / "A.edges.tsv").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("31\t3\t")]
+        assert len(kept) == len(lines) - 1
+        path = tmp_path / "M.edges.tsv"
+        path.write_text("\n".join(kept) + "\n")
+        assert run("fit", "--degrees", tmp_path / "A.degrees.tsv",
+                   "--edges", path, "--auto-range",
+                   "--out-prefix", tmp_path / "F") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: row (31, 3) is missing" in err
+        assert "Traceback" not in err
+
+    def test_header_only_edges_table(self, tables, capsys):
+        path = tables / "header-only.edges.tsv"
+        path.write_text("d1\td2\tX\tXcum\trho\n")
+        assert fit_edges_table(tables, path) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: row (1, 1) is missing" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("case", sorted(EDGES_CASES))
     def test_edges_table(self, tables, case, capsys):

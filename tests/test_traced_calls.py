@@ -77,7 +77,8 @@ def pagl_calls(func: ast.FunctionDef):
 
 def test_the_file_calls_pagl():
     assert {"select_range", "bootstrap_edges", "surface_from_tables",
-            "log_grid", "generate_bo_chain"} <= set(NAMES)
+            "rho_surface", "write_edges_tsv", "log_grid",
+            "generate_bo_chain"} <= set(NAMES)
 
 
 @pytest.mark.parametrize("func", FUNCTIONS, ids=lambda f: f.name)
