@@ -122,21 +122,23 @@ class Graph:
 
 @dataclass
 class SimpleGraph:
-    """Undirected simple graph in CSR form with sorted neighbor lists."""
+    """Undirected simple graph: its distinct non-loop pairs, sorted.
+
+    ``pairs`` holds each edge once, its endpoints ``lo < hi`` packed
+    ``lo << 32 | hi``, as an ascending uint64 array; ``indptr`` is the
+    running degree sum (n + 1 int64), so ``degrees()`` is its difference.
+    """
 
     n: int
     indptr: np.ndarray
-    indices: np.ndarray
+    pairs: np.ndarray
 
     @property
     def num_edges(self) -> int:
-        return self.indices.shape[0] // 2
+        return self.pairs.shape[0]
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def __eq__(self, other):
         if not isinstance(other, SimpleGraph):
@@ -144,7 +146,7 @@ class SimpleGraph:
         return (
             self.n == other.n
             and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.pairs, other.pairs)
         )
 
 
@@ -472,24 +474,16 @@ def _distinct_pairs(edges: np.ndarray):
     return keys[first], keys.shape[0]
 
 
-def _adjacency_keys(edges: np.ndarray) -> np.ndarray:
-    """The CSR slots of the simple graph in order, packed ``src << 32 | dst``:
-    both orientations of every distinct non-loop pair, sorted."""
-    lo_hi = _distinct_pairs(edges)[0]
-    keys = np.concatenate([lo_hi, (lo_hi << np.uint64(32)) | (lo_hi >> np.uint64(32))])
-    del lo_hi
-    keys.sort()
-    return keys
-
-
 def simplify(g: Graph) -> SimpleGraph:
-    """Drop loops, merge parallel edges, and return sorted CSR adjacency."""
-    keys = _adjacency_keys(g.edges)
-    counts = np.bincount((keys >> np.uint64(32)).view(np.int64), minlength=g.n)
+    """Drop loops and merge parallel edges: the sorted distinct pairs and
+    the running degree sum they give."""
+    pairs = _distinct_pairs(g.edges)[0]
+    # a pair adds 1 to the degree of its lo and of its hi end
+    deg = np.bincount((pairs >> np.uint64(32)).view(np.int64), minlength=g.n)
+    deg += np.bincount((pairs & np.uint64(0xFFFFFFFF)).view(np.int64), minlength=g.n)
     indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    keys &= np.uint64(0xFFFFFFFF)
-    return SimpleGraph(g.n, indptr, keys.view(np.int64))
+    np.cumsum(deg, out=indptr[1:])
+    return SimpleGraph(g.n, indptr, pairs)
 
 
 def count_multiplicities(g: Graph) -> MultiplicityReport:

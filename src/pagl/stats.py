@@ -100,30 +100,22 @@ class EdgeDegreeMatrix:
         return int(self.x.sum())
 
 
-_SLOT_BLOCK = 1 << 15  # CSR slots read per pass of edge_degree_matrix
+_PAIR_BLOCK = 1 << 15  # pairs read per pass of edge_degree_matrix
 
 
 def edge_degree_matrix(g: SimpleGraph) -> EdgeDegreeMatrix:
-    deg = np.diff(g.indptr)
-    # one key per edge, from its smaller endpoint: max degree << 32 | min
-    # degree, filled from the rows of about _SLOT_BLOCK slots at a time
+    deg = g.degrees()
+    # one key per edge: max degree << 32 | min degree, filled from
+    # _PAIR_BLOCK pairs at a time
     keys = np.empty(g.num_edges, np.int64)
-    filled = 0
-    v = 0
-    while v < g.n:
-        w = int(np.searchsorted(g.indptr, g.indptr[v] + _SLOT_BLOCK, "right"))
-        w = min(max(w - 1, v + 1), g.n)
-        dst = g.indices[g.indptr[v]:g.indptr[w]]
-        src = np.repeat(np.arange(v, w), deg[v:w])
-        upper = dst > src
-        a = deg[src[upper]]
-        b = deg[dst[upper]]
-        out = keys[filled:filled + a.size]
+    for at in range(0, keys.size, _PAIR_BLOCK):
+        block = g.pairs[at:at + _PAIR_BLOCK]
+        a = deg[(block >> np.uint64(32)).view(np.int64)]
+        b = deg[(block & np.uint64(0xFFFFFFFF)).view(np.int64)]
+        out = keys[at:at + block.size]
         np.maximum(a, b, out=out)
         out <<= 32
         out |= np.minimum(a, b, out=a)
-        filled += a.size
-        v = w
     keys.sort()
     # a cell is a run of equal keys; find the runs by an adjacent difference
     first = np.empty(keys.shape, bool)

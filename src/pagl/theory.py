@@ -122,10 +122,11 @@ def expected_degree_count(p: TheoryParams, d):
     d = np.asarray(d, dtype=np.float64)
     if np.any(d < p.m):
         raise ValueError(f"degree must be >= m = {p.m}")
-    out = p.n * np.exp(
-        log_beta(d - p.m + p.m * p.a, p.a + 2.0) - log_beta(p.m * p.a, p.a + 1.0)
-    )
-    return out if np.ndim(out) else float(out)
+    with np.errstate(all="ignore"):
+        out = p.n * np.exp(
+            log_beta(d - p.m + p.m * p.a, p.a + 2.0) - log_beta(p.m * p.a, p.a + 1.0)
+        )
+    return _finite_count(out, p, d)
 
 
 def expected_edge_count(p: TheoryParams, d1, d2):
@@ -139,8 +140,19 @@ def expected_edge_count(p: TheoryParams, d1, d2):
     if np.any(d1 < p.m) or np.any(d2 < p.m):
         raise ValueError(f"degrees must be >= m = {p.m}")
     a = p.a
-    coeff = p.m * a * (a + 1.0) * np.exp(log_gamma(p.m * a + a + 1.0) - log_gamma(p.m * a))
-    out = p.n * coeff * (d1 + d2) ** (1.0 - a) / (d1 * d1 * d2 * d2)
+    with np.errstate(all="ignore"):
+        coeff = p.m * a * (a + 1.0) * np.exp(log_gamma(p.m * a + a + 1.0) - log_gamma(p.m * a))
+        out = p.n * coeff * (d1 + d2) ** (1.0 - a) / (d1 * d1 * d2 * d2)
+    return _finite_count(out, p, d1, d2)
+
+
+def _finite_count(out, p: TheoryParams, *degrees):
+    """``out`` (a float for scalar degrees), or a ValueError naming ``a``
+    and the first degrees ``d`` or ``d1:d2`` at which it is not finite."""
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        at = ":".join(f"{np.broadcast_to(d, bad.shape)[bad][0]:.17g}" for d in degrees)
+        raise ValueError(f"expected count at degree {at} is not finite for a={p.a!r}")
     return out if np.ndim(out) else float(out)
 
 

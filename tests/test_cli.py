@@ -18,7 +18,10 @@ from pagl.fitting import _PowerLaw
 from pagl.graphs import load_binary, load_edge_list
 from pagl.stats import DegreeHistogram, EdgeDegreeMatrix, degree_grid, \
     rho_surface
-from pagl.tables import EDGES_HEADER, write_degrees_tsv, write_edges_tsv
+from pagl.tables import write_degrees_tsv, write_edges_tsv
+
+
+NO_EDGES = EdgeDegreeMatrix(*[np.empty(0, np.int64)] * 3)
 
 
 def run(*argv):
@@ -328,6 +331,18 @@ class TestTheoryCommands:
         assert capsys.readouterr().err == (
             f"pagl: --pairs expects d1:d2 integer items, got {pairs!r}\n")
 
+    @pytest.mark.parametrize("targets, at", [
+        (["--d", 3], "degree 3"), (["--pairs", "3:4"], "degree 3:4"),
+    ], ids=["degree", "pair"])
+    def test_expected_count_not_finite_is_2(self, tmp_path, targets, at):
+        # the gamma function overflows at a = 1e308, so no count is finite
+        rc, err = run_limited("theory", "expected", "--a", 1e308, "--m", 2,
+                              "--n", 10, *targets,
+                              "--out-prefix", tmp_path / "T")
+        assert rc == 2 and "Traceback" not in err
+        assert err == f"pagl: expected count at {at} is not finite for a=1e+308\n"
+        assert not list(tmp_path.iterdir())
+
     def test_expected_needs_targets(self, tmp_path):
         assert run("theory", "expected", "--a", 1.0, "--m", 1, "--n", 10,
                    "--out-prefix", tmp_path / "T") == 2
@@ -373,19 +388,22 @@ class TestExitCodesAndEnv:
            st.sampled_from([0, 1, 10**15]),
            st.integers(-2, 2 * 10**5), st.integers(-2, 2 * 10**5))
     def test_fit_on_valid_tables(self, counts, isolated, lo, hi):
-        # any valid degrees table, with an edges table that holds no
-        # rows, fits, is refused (for the rows it lacks, whenever a grid
-        # point has a positive tail) or diverges: never an exception
+        # any valid degrees table, with the complete edges table of a
+        # graph without edges (on a coarse grid, so a degree of 10**5
+        # gives a few hundred rows), fits, is refused or diverges: never
+        # an exception
         degrees = sorted(counts)
         hist = DegreeHistogram(np.array(degrees, np.int64),
                                np.array([counts[d] for d in degrees], np.int64),
                                sum(counts.values()) + isolated)
         with tempfile.TemporaryDirectory() as root:
             write_degrees_tsv(hist, f"{root}/A.degrees.tsv")
-            Path(root, "A.edges.tsv").write_text(EDGES_HEADER + "\n")
+            write_edges_tsv(rho_surface(hist, NO_EDGES, degree_grid(hist, 2.0)),
+                            f"{root}/A.edges.tsv")
             code = run("fit", "--degrees", f"{root}/A.degrees.tsv",
-                       "--edges", f"{root}/A.edges.tsv", "--d1-lo", lo,
-                       "--d1-hi", hi, "--out-prefix", f"{root}/F")
+                       "--edges", f"{root}/A.edges.tsv", "--alpha", 2.0,
+                       "--d1-lo", lo, "--d1-hi", hi,
+                       "--out-prefix", f"{root}/F")
         assert code in (0, 2, 3)
 
     def test_fit_scale_overflow_is_3(self, tmp_path):
@@ -397,9 +415,8 @@ class TestExitCodesAndEnv:
         hist = DegreeHistogram(np.array(degrees, np.int64),
                                np.array([counts[d] for d in degrees], np.int64),
                                sum(counts.values()))
-        no_edges = EdgeDegreeMatrix(*[np.empty(0, np.int64)] * 3)
         write_degrees_tsv(hist, tmp_path / "A.degrees.tsv")
-        write_edges_tsv(rho_surface(hist, no_edges, degree_grid(hist, 1.01)),
+        write_edges_tsv(rho_surface(hist, NO_EDGES, degree_grid(hist, 1.01)),
                         tmp_path / "A.edges.tsv")
         assert run("fit", "--degrees", tmp_path / "A.degrees.tsv",
                    "--edges", tmp_path / "A.edges.tsv", "--d1-lo", 990,

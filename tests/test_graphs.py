@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 import pagl.graphs
 from oracles import (
     adjacency,
-    adjacency_pairs_lexsort,
+    distinct_pairs_lexsort,
     load_edge_list_lines,
     save_edge_list_lines,
     simplify_lexsort,
@@ -20,7 +20,7 @@ from pagl.graphs import (
     GraphFormatError,
     GraphValidationError,
     MultiplicityReport,
-    _adjacency_keys,
+    _distinct_pairs,
     count_multiplicities,
     edge_list_bytes,
     load_binary,
@@ -261,7 +261,8 @@ class TestSimplify:
     def test_idempotent(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
         s1 = simplify(g)
-        back = Graph(4, [(u, v) for u in range(4) for v in s1.neighbors(u) if u < v])
+        back = Graph(4, [(u, v) for u, nbrs in adjacency(s1).items()
+                         for v in nbrs if u < v])
         assert simplify(back) == s1
 
     def test_degree_sum(self):
@@ -278,17 +279,19 @@ class TestSimplify:
         g = Graph(10 + isolated, edges)
         s = simplify(g)
         assert s == simplify_lexsort(g)
-        assert s.indptr.dtype == s.indices.dtype == np.int64
+        assert s.pairs.dtype == np.uint64
+        assert s.indptr.dtype == np.int64
 
     def test_top_id_keys(self):
-        # a Graph holding id 2**32-1 has n = 2**32, whose CSR row pointer
-        # alone takes 32 GiB, so the slot keys are checked without it
+        # a Graph holding id 2**32-1 has n = 2**32, whose degree sum alone
+        # takes 32 GiB, so the pair keys are checked without it
         edges = np.array([(TOP_ID, 0), (0, TOP_ID), (TOP_ID, TOP_ID),
                           (TOP_ID - 1, TOP_ID), (5, TOP_ID - 1), (5, 0)], np.int64)
-        keys = _adjacency_keys(edges)
-        src, dst = adjacency_pairs_lexsort(edges)
-        assert (keys >> np.uint64(32)).tolist() == src.tolist()
-        assert (keys & np.uint64(0xFFFFFFFF)).tolist() == dst.tolist()
+        keys, nonloop = _distinct_pairs(edges)
+        lo, hi = distinct_pairs_lexsort(edges)
+        assert nonloop == 5
+        assert (keys >> np.uint64(32)).tolist() == lo.tolist()
+        assert (keys & np.uint64(0xFFFFFFFF)).tolist() == hi.tolist()
 
 
 class TestMultiplicities:

@@ -2,10 +2,11 @@
 
 Each bound is the tracemalloc peak of one call as a multiple of the size
 of its file, of the arrays it returns (for the rho surface, its three
-packed columns), or (for the edge bootstrap) of one float64 per domain
-pair, with about 25% headroom over the peak measured when the bound was
-set (BO a = 0.5, m = 5, n = 60000, seed 0, numpy 2.4); the edges writer
-may hold the bytes it wrote and the surface's packed columns once more.
+packed columns; for simplify, one 8-byte key per kept edge), or (for the
+edge bootstrap) of one float64 per domain pair, with about 25% headroom
+over the peak measured when the bound was set (BO a = 0.5, m = 5,
+n = 60000, seed 0, numpy 2.4); the edges writer may hold the bytes it
+wrote and the surface's packed columns once more.
 Reading a file or a table whole, or building the whole of a table's text
 at once, takes several times more and fails the bound.
 """
@@ -52,9 +53,20 @@ def test_load_edge_list(bo):
     assert used < 4.2 * path.stat().st_size
 
 
+def test_simplify(bo):
+    root = bo[0]
+    g = load_edge_list(root / "g.tsv")
+    # the packed non-loop keys, their copy without loops and the distinct
+    # pairs kept: 2.40 x 8 bytes per kept edge; keying both orientations
+    # of every pair and sorting them again takes 4.20
+    s, used = peak(simplify, g)
+    assert used < 3.0 * 8 * s.num_edges
+    assert s == bo[1]
+
+
 def test_edge_degree_matrix(bo):
     s = bo[1]
-    # one 8-byte key per edge and block-sized temporaries: 1.75 x the keys
+    # one 8-byte key per edge and block-sized temporaries: 1.64 x the keys
     _, used = peak(edge_degree_matrix, s)
     assert used < 2.2 * 8 * s.num_edges
 

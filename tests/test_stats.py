@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    adjacency,
     cells_dict,
     cumulative_edges,
     dnn_dict,
@@ -92,8 +93,8 @@ class TestEdgeDegreeMatrix:
         x = edge_degree_matrix(s)
         deg = s.degrees()
         brute = {}
-        for v in range(s.n):
-            for u in s.neighbors(v).tolist():
+        for v, nbrs in adjacency(s).items():
+            for u in nbrs:
                 if u > v:
                     cell = (max(deg[u], deg[v]), min(deg[u], deg[v]))
                     brute[cell] = brute.get(cell, 0) + 1

@@ -78,7 +78,8 @@ def pagl_calls(func: ast.FunctionDef):
 def test_the_file_calls_pagl():
     assert {"select_range", "bootstrap_edges", "surface_from_tables",
             "rho_surface", "write_edges_tsv", "log_grid",
-            "generate_bo_chain"} <= set(NAMES)
+            "generate_bo_chain", "simplify", "degree_histogram",
+            "edge_degree_matrix"} <= set(NAMES)
 
 
 @pytest.mark.parametrize("func", FUNCTIONS, ids=lambda f: f.name)
