@@ -24,5 +24,6 @@ _MIN_WINDOW = 1.2
 _MAX_WINDOW = math.log10(sys.float_info.max)
 
 # the largest pair set edge_model_shape_check takes: one tail_ratio costs
-# about 2 ms at the default ranges, so this many take about 5 s
+# about 2 ms at the default ranges (1.3-1.6 ms each over the 2250 pairs of
+# grid size 50), so this many take about 4-5 s
 MAX_SHAPE_PAIRS = 2500

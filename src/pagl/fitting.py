@@ -79,7 +79,8 @@ def loglog_regression(d, values):
 
 @dataclass(frozen=True)
 class DegreeRange:
-    """Inclusive degree bounds and the grid points falling inside them."""
+    """Inclusive degree bounds and the grid points falling inside them:
+    at least 2, since each fit has two parameters."""
 
     lo: int
     hi: int
@@ -88,8 +89,9 @@ class DegreeRange:
     def __post_init__(self):
         if not 1 <= self.lo < self.hi:
             raise ValueError(f"need 1 <= lo < hi, got [{self.lo}, {self.hi}]")
-        if self.grid_points.size == 0:
-            raise ValueError(f"no grid points inside [{self.lo}, {self.hi}]")
+        if self.grid_points.size < 2:
+            raise ValueError(f"need at least 2 grid points inside "
+                             f"[{self.lo}, {self.hi}], got {self.grid_points.size}")
 
 
 def degree_range(grid: LogGrid, lo: int, hi: int) -> DegreeRange:

@@ -22,8 +22,10 @@ surface built from the oracle's asymptotic summand is proportional to the
 fitted edge model (d1+d2)**(1-a) * (d1*d2)**a.  The double tail sums are
 evaluated exactly: the inner sums by Euler-Maclaurin with a closed-form
 integral (a Gauss hypergeometric expression), the remaining single sums
-as Hurwitz zeta values.  Both come from scipy, which the two functions
-import when called, so that importing pagl does not load it.
+as Hurwitz zeta values.  Both special functions are short numpy series:
+:func:`_pfaff_2f1` sums the hypergeometric function after Pfaff's
+transformation (DLMF 15.8.1), and :func:`_hurwitz_zeta` is the
+Euler-Maclaurin form of the Hurwitz zeta (DLMF 25.11).
 """
 
 from __future__ import annotations
@@ -228,6 +230,59 @@ def multiplicity_scaling_report(samples_per_n, n_list, a, m, seed=0, threads=1):
 # ---------------------------------------------------------------------------
 # shape check of the edge model against exact tail sums
 
+# Bernoulli numbers B2, B4, ..., B14, each over (2j)!
+_BERNOULLI_TERMS = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                           -691 / 2730, 7 / 6), start=1))
+_ZETA_DIRECT_TERMS = 12
+
+
+def _pfaff_2f1(a, x):
+    """2F1(a-1, a; a+1; -x) for x in (0, 1], scalar or array.
+
+    Pfaff's transformation gives (1+x)**-a * 2F1(2, a; a+1; w) with
+    w = x/(1+x) <= 1/2, and that series is sum_k (k+1) * a/(a+k) * w**k.
+    Horner's rule sums it over as many terms as the largest w needs for
+    double precision: about 60 at w = 1/2.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = x / (1.0 + x)
+    w_max = float(np.max(w))
+    # every coefficient is at most k+1 and the sum is at least 1, so the
+    # terms left out sum to less than (n+1) * w**n / (1-w)**2
+    n = 1
+    while (n + 1) * w_max**n >= 2.0**-54 * (1.0 - w_max) ** 2:
+        n += 1
+    total = np.zeros_like(w)
+    for k in range(n - 1, -1, -1):
+        total = total * w + (k + 1.0) / (1.0 + k / a)
+    out = (1.0 + x) ** -a * total
+    return out if out.ndim else float(out)
+
+
+def _hurwitz_zeta(s, q):
+    """Hurwitz zeta sum_{k>=0} (q+k)**-s for s >= 2 and q >= 2, q scalar
+    or array.
+
+    Twelve direct terms, then Euler-Maclaurin from Q = q+12: the tail
+    integral Q**(1-s)/(s-1), the half term Q**-s/2 and the Bernoulli terms
+    B2..B14.  The first term left out (B16) is below 1e-17 of the sum for
+    s up to 1000.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    direct = np.sum((q[..., None] + np.arange(_ZETA_DIRECT_TERMS)) ** -s, axis=-1)
+    big_q = q + _ZETA_DIRECT_TERMS
+    # term j is B_2j/(2j)! * s(s+1)...(s+2j-2) * Q**(1-2j), times Q**-s
+    rising = s / big_q
+    bernoulli = np.zeros_like(big_q)
+    for j, c in enumerate(_BERNOULLI_TERMS, start=1):
+        bernoulli += c * rising
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j) / (big_q * big_q)
+    out = direct + big_q**-s * (big_q / (s - 1.0) + 0.5 + bernoulli)
+    return out if out.ndim else float(out)
+
+
 def _inner_tail(L, j, a):
     """sum_{i >= L} (i+j)**(1-a) * i**-2 by Euler-Maclaurin.
 
@@ -235,10 +290,7 @@ def _inner_tail(L, j, a):
     L**(-a)/a * 2F1(a-1, a, a+1, -j/L); the f(L)/2 - f'(L)/12 correction
     leaves a remainder far below 1e-6 relative for L >= 11.
     """
-    from scipy.special import hyp2f1
-
-    g = hyp2f1(a - 1.0, a, a + 1.0, -j / L)
-    integral = L ** (-a) / a * g
+    integral = L ** (-a) / a * _pfaff_2f1(a, j / L)
     f = (L + j) ** (1.0 - a) * L**-2.0
     fp = (1.0 - a) * (L + j) ** (-a) * L**-2.0 - 2.0 * (L + j) ** (1.0 - a) * L**-3.0
     return integral + 0.5 * f - fp / 12.0
@@ -250,28 +302,29 @@ def tail_ratio(d1: int, d2: int, a: float) -> float:
 
     sum_{i>=j, i>d1, j>d2} (i+j)**(1-a) (i*j)**-2
     / [sum_{i>d1} i**(-2-a) * sum_{j>d2} j**(-2-a)].
+
+    Where the sums leave the float range the value is 0, inf or nan.
     """
     if not (d1 >= d2 >= 1):
         raise ValueError("need d1 >= d2 >= 1")
     if not a > 0:
         raise ValueError("need a > 0")
-    from scipy.special import hyp2f1, zeta
-
     L = d1 + 1.0
-    # region with j <= d1 < i: exact sum over j of the inner tail
-    j = np.arange(d2 + 1, d1 + 1, dtype=np.float64)
-    region_a = float(np.sum(j**-2.0 * _inner_tail(L, j, a))) if j.size else 0.0
-    # region with j > d1 (inner tail starts at i = j): three Hurwitz
-    # zeta sums after Euler-Maclaurin at L = j
-    f1 = hyp2f1(a - 1.0, a, a + 1.0, -1.0)
-    c3 = (1.0 - a) * 2.0**-a - 2.0 ** (2.0 - a)
-    region_b = (
-        (f1 / a) * zeta(2.0 + a, d1 + 1.0)
-        + 2.0**-a * zeta(3.0 + a, d1 + 1.0)
-        - c3 / 12.0 * zeta(4.0 + a, d1 + 1.0)
-    )
-    denom = zeta(2.0 + a, d1 + 1.0) * zeta(2.0 + a, d2 + 1.0)
-    return (region_a + float(region_b)) / float(denom)
+    with np.errstate(all="ignore"):
+        # region with j <= d1 < i: exact sum over j of the inner tail
+        j = np.arange(d2 + 1, d1 + 1, dtype=np.float64)
+        region_a = float(np.sum(j**-2.0 * _inner_tail(L, j, a))) if j.size else 0.0
+        # region with j > d1 (inner tail starts at i = j): three Hurwitz
+        # zeta sums after Euler-Maclaurin at L = j
+        f1 = _pfaff_2f1(a, 1.0)
+        c3 = (1.0 - a) * 2.0**-a - 2.0 ** (2.0 - a)
+        region_b = (
+            (f1 / a) * _hurwitz_zeta(2.0 + a, L)
+            + 2.0**-a * _hurwitz_zeta(3.0 + a, L)
+            - c3 / 12.0 * _hurwitz_zeta(4.0 + a, L)
+        )
+        denom = _hurwitz_zeta(2.0 + a, L) * _hurwitz_zeta(2.0 + a, d2 + 1.0)
+        return float(np.divide(region_a + region_b, denom))
 
 
 @dataclass
@@ -304,7 +357,9 @@ def edge_model_shape_check(
     d1/d2 are allowed but lie outside the model's regime; expect large
     deviations there.  ``a2`` must be finite and positive, the ratio
     bounds finite and at least 1, the d2 bounds and ``grid_size`` at
-    least 1, and the pair set at most ``MAX_SHAPE_PAIRS`` long.
+    least 1, and the pair set at most ``MAX_SHAPE_PAIRS`` long.  A pair
+    whose tail ratio or shape is not a positive finite float (the sums
+    under- or overflow for a large ``a2``) raises ValueError.
     """
     if not 0.0 < a2 < math.inf:
         raise ValueError(f"a2 must be finite and > 0, got {a2!r}")
@@ -323,9 +378,14 @@ def edge_model_shape_check(
         raise ValueError(f"{len(pairs)} pairs exceed the limit of "
                          f"{MAX_SHAPE_PAIRS}; use a smaller grid size")
     ratios = np.array([tail_ratio(d1, d2, a2) for d1, d2 in pairs])
-    shape = np.array([
-        (d1 + d2) ** (1.0 - a2) * float(d1) ** a2 * float(d2) ** a2 for d1, d2 in pairs
-    ])
+    d1s, d2s = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    with np.errstate(all="ignore"):
+        shape = (d1s + d2s) ** (1.0 - a2) * d1s**a2 * d2s**a2
+    bad = ~((ratios > 0) & (ratios < math.inf) & (shape > 0) & (shape < math.inf))
+    if np.any(bad):
+        d1, d2 = pairs[int(np.argmax(bad))]
+        raise ValueError(f"tail ratio or edge model shape at pair {d1}:{d2} is "
+                         f"not a positive finite float for a2={a2!r}")
     q = ratios / shape
     constant = 0.5 * (q.max() + q.min())
     max_dev = float(np.max(np.abs(q / constant - 1.0)))

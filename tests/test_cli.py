@@ -425,6 +425,22 @@ class TestExitCodesAndEnv:
         assert "is not a positive finite float" in report["degree"]["error"]
         assert report["edge"]["converged"] is False
 
+    def test_one_grid_point_range_is_2(self, tmp_path):
+        # [1, 3] holds only the grid point 1 of this table at alpha 2, and
+        # a fit of two parameters needs two points
+        hist = DegreeHistogram(np.array([1, 2, 4], np.int64),
+                               np.array([5, 3, 1], np.int64), 9)
+        write_degrees_tsv(hist, tmp_path / "A.degrees.tsv")
+        write_edges_tsv(rho_surface(hist, NO_EDGES, degree_grid(hist, 2.0)),
+                        tmp_path / "A.edges.tsv")
+        rc, err = run_limited("fit", "--degrees", tmp_path / "A.degrees.tsv",
+                              "--edges", tmp_path / "A.edges.tsv",
+                              "--alpha", 2, "--d1-lo", 1, "--d1-hi", 3,
+                              "--out-prefix", tmp_path / "F")
+        assert rc == 2
+        assert err == "pagl: need at least 2 grid points inside [1, 3], got 1\n"
+        assert not list(tmp_path.glob("F.*"))
+
     def test_threads_default_is_cores(self, tmp_path):
         out = tmp_path / "g.tsv"
         assert run("generate", "--model", "bo", "--a", 0.5, "--m", 1,
@@ -580,6 +596,9 @@ class TestCountsBelowOne:
          "--alpha"),
         *[(lambda r, v=v: ["theory", "rho-shape", "--a2", v], "--a2")
           for v in ("inf", "nan", "0")],
+        # the tail sums under- or overflow: the message names a2
+        (lambda r: ["theory", "rho-shape", "--a2", 50], "a2=50.0"),
+        (lambda r: ["theory", "rho-shape", "--a2", "1e308"], "a2=1e+308"),
         *[(lambda r, f=f, v=v: [*RHO_SHAPE, f, v], f)
           for f, v in (("--ratio-min", "nan"), ("--ratio-min", "inf"),
                        ("--ratio-max", "inf"), ("--ratio-min", "0.5"),
@@ -591,6 +610,7 @@ class TestCountsBelowOne:
             "window-inf", "window-1e300", "window-nan", "window-0.5",
             "bootstrap-window-inf", "ratio-cutoff-0.5", "ratio-cutoff-nan",
             "fit-alpha-inf", "analyze-alpha-inf", "a2-inf", "a2-nan", "a2-0",
+            "a2-50", "a2-1e308",
             "ratio-min-nan", "ratio-min-inf", "ratio-max-inf",
             "ratio-min-0.5", "grid-size-0", "grid-size-100000", "d2-min-0",
             "d2-min-neg", "d2-max-0"])
@@ -603,8 +623,8 @@ class TestCountsBelowOne:
 
 
 class TestImportCost:
-    """scipy serves `theory rho-shape` alone; no other use of pagl loads it.
-    pagl runs its workers as forked processes, so no thread pool is loaded."""
+    """pagl loads no scipy.  It runs its workers as forked processes, so no
+    thread pool is loaded."""
 
     def test_import(self):
         code = ("import sys, pagl, pagl.cli; "
@@ -637,7 +657,8 @@ def loaded_modules(*argv, cwd):
 
 
 class TestModuleSets:
-    """Each subcommand loads the modules it runs and none of the others."""
+    """Each subcommand loads the modules it runs and none of the others,
+    and no subcommand loads scipy."""
 
     @pytest.mark.parametrize("argv, runs, skips", [
         (["--version"], "graphs",
@@ -673,6 +694,68 @@ class TestModuleSets:
         assert {"numpy", "pagl.graphs",
                 *(f"pagl.{name}" for name in runs.split())} <= modules
         assert not {f"pagl.{name}" for name in skips.split()} & modules
+        assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+# `pagl *argv` in a child Python where `import scipy` raises ImportError
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked in this process")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was imported past the block")
+from pagl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestWithoutScipy:
+    """numpy is pagl's only runtime dependency: every subcommand runs where
+    scipy cannot be imported, and writes the same data bytes."""
+
+    STEPS = [
+        ["generate", "--model", "bo", "--a", 0.5, "--m", 3, "--n", 3000,
+         "--seed", 1, "--out", "g.tsv"],
+        ["analyze", "--graph", "g.tsv", "--out-prefix", "A"],
+        ["fit", "--degrees", "A.degrees.tsv", "--edges", "A.edges.tsv",
+         "--xcells", "A.xcells.tsv", "--auto-range", "--bootstrap", 3,
+         "--threads", 1, "--out-prefix", "F"],
+        ["bootstrap", "--target", "edges", "--degrees", "A.degrees.tsv",
+         "--edges", "A.edges.tsv", "--xcells", "A.xcells.tsv",
+         "--auto-range", "--iterations", 3, "--threads", 1,
+         "--out-prefix", "B"],
+        ["theory", "expected", "--a", 0.5, "--m", 2, "--n", 100, "--d", 3,
+         "--pairs", "5:2", "--out-prefix", "T"],
+        [*RHO_SHAPE, "--grid-size", 2, "--out-prefix", "R"],
+        [*MULTIPLICITY, "--n-list", "30,60", "--samples", 2, "--threads", 1,
+         "--out-prefix", "M"],
+    ]
+
+    def test_every_subcommand(self, tmp_path):
+        data = []
+        for name, python in (("plain", ["-m", "pagl.cli"]),
+                             ("no-scipy", ["-c", NO_SCIPY])):
+            root = tmp_path / name
+            root.mkdir()
+            for argv in self.STEPS:
+                proc = subprocess.run(
+                    [sys.executable, *python, *map(str, argv)],
+                    env=child_env(), cwd=root, capture_output=True, text=True,
+                    timeout=120)
+                assert (proc.returncode, proc.stderr) == (0, ""), argv
+            data.append({p.name: p.read_bytes() for p in root.iterdir()
+                         if not p.name.endswith(".manifest.json")})
+        assert {n.split(".")[0] for n in data[0]} == set("gAFBTRM")
+        assert data[0] == data[1]
 
 
 class TestPackageRoot:

@@ -114,6 +114,9 @@ class TestDomains:
             degree_range(GRID, 100, 10)
         with pytest.raises(ValueError):
             degree_range(log_grid(2.0, 1000), 33, 60)  # no points inside
+        with pytest.raises(ValueError, match=r"need at least 2 grid points "
+                                             r"inside \[30, 60\], got 1"):
+            degree_range(log_grid(2.0, 1000), 30, 60)  # only 32 inside
 
     def test_pair_domain_strict_ratio(self):
         rng = degree_range(GRID, 10, 2000)

@@ -12,6 +12,8 @@ from pagl.cli import main
 from pagl.theory import (
     MAX_SHAPE_PAIRS,
     TheoryParams,
+    _hurwitz_zeta,
+    _pfaff_2f1,
     edge_model_shape_check,
     expected_degree_count,
     expected_edge_count,
@@ -133,6 +135,71 @@ class TestDegreeCountsMonteCarlo:
             assert abs(counts.mean() - oracle) <= 4.0 * se + 0.005 * oracle + 1.0
 
 
+class TestSpecialFunctions:
+    """The two series behind tail_ratio, against scipy and mpmath over
+    the arguments rho-shape reaches."""
+
+    A = np.geomspace(1e-3, 44.0, 41)
+    X = np.append(np.geomspace(1e-6, 1.0, 300), [0.5, 1.0 - 1e-12, 1.0])
+    S = np.linspace(2.0, 48.0, 47)
+    Q = np.append(np.geomspace(2.0, 1e5 + 1.0, 200), np.arange(2.0, 40.0))
+
+    def test_pfaff_2f1_against_scipy(self):
+        for a in self.A:
+            np.testing.assert_allclose(_pfaff_2f1(a, self.X),
+                                       hyp2f1(a - 1.0, a, a + 1.0, -self.X),
+                                       rtol=1e-13, atol=0)
+
+    def test_pfaff_2f1_against_mpmath(self):
+        mpmath.mp.dps = 30
+        for a in (1e-3, 0.276, 0.5, 1.0, 2.5, 17.0, 44.0):
+            for x in (1e-6, 0.01, 0.3, 0.99, 1.0):
+                expect = float(mpmath.hyp2f1(a - 1, a, a + 1, -mpmath.mpf(x)))
+                assert _pfaff_2f1(a, x) == pytest.approx(expect, rel=1e-13)
+
+    def test_pfaff_2f1_scalar_and_array(self):
+        assert isinstance(_pfaff_2f1(0.5, 1.0), float)
+        assert _pfaff_2f1(0.5, np.array([1.0]))[0] == _pfaff_2f1(0.5, 1.0)
+
+    def test_hurwitz_zeta_against_scipy(self):
+        for s in self.S:
+            np.testing.assert_allclose(_hurwitz_zeta(s, self.Q), zeta(s, self.Q),
+                                       rtol=1e-13, atol=0)
+
+    def test_hurwitz_zeta_against_mpmath(self):
+        mpmath.mp.dps = 30
+        for s in (2.0, 2.276, 3.5, 4.0, 11.0, 30.0, 48.0):
+            for q in (2.0, 3.0, 11.0, 101.0, 1e4 + 1.0, 1e5 + 1.0):
+                expect = float(mpmath.zeta(s, q))
+                assert _hurwitz_zeta(s, q) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("a", [0.276, 0.5, 1.0])
+    def test_tail_ratio_matches_scipy_formula(self, a):
+        # the same sums with scipy's hyp2f1 and zeta, on the default grid
+        def inner_tail(L, j):
+            f = (L + j) ** (1.0 - a) * L**-2.0
+            fp = ((1.0 - a) * (L + j) ** (-a) * L**-2.0
+                  - 2.0 * (L + j) ** (1.0 - a) * L**-3.0)
+            return (L ** (-a) / a * hyp2f1(a - 1.0, a, a + 1.0, -j / L)
+                    + 0.5 * f - fp / 12.0)
+
+        def scipy_ratio(d1, d2):
+            L = d1 + 1.0
+            j = np.arange(d2 + 1, d1 + 1, dtype=np.float64)
+            region_a = np.sum(j**-2.0 * inner_tail(L, j))
+            c3 = (1.0 - a) * 2.0**-a - 2.0 ** (2.0 - a)
+            region_b = (hyp2f1(a - 1.0, a, a + 1.0, -1.0) / a * zeta(2.0 + a, L)
+                        + 2.0**-a * zeta(3.0 + a, L)
+                        - c3 / 12.0 * zeta(4.0 + a, L))
+            return (region_a + region_b) / (zeta(2.0 + a, L) * zeta(2.0 + a, d2 + 1.0))
+
+        pairs = edge_model_shape_check(a).pairs
+        assert len(pairs) == 25
+        for d1, d2 in pairs:
+            assert tail_ratio(d1, d2, a) == pytest.approx(scipy_ratio(d1, d2),
+                                                          rel=1e-13)
+
+
 def brute_tail_ratio(d1, d2, a, i_max=30000, j_max=2000):
     """Direct double sum; accurate only for a >= 1.5 (fast decay)."""
     total = 0.0
@@ -194,10 +261,23 @@ class TestShapeCheck:
         (0.5, {"ratio_range": (10.0, math.inf)}),
         (0.5, {"ratio_range": (0.5, 10.0)}),
         (0.5, {"grid_size": 0}),
+        (50.0, {}), (1e308, {}),
     ])
     def test_rejects_bad_parameters(self, a2, kwargs):
         with pytest.raises(ValueError):
             edge_model_shape_check(a2, **kwargs)
+
+    @pytest.mark.parametrize("a2, pair", [
+        (50.0, "56000:56"), (1000.0, "100:10"), (1e308, "100:10"),
+    ])
+    def test_sums_out_of_float_range(self, a2, pair, recwarn):
+        # the zeta product underflows, or the shape overflows
+        with pytest.raises(ValueError) as err:
+            edge_model_shape_check(a2)
+        assert str(err.value) == (f"tail ratio or edge model shape at pair "
+                                  f"{pair} is not a positive finite float "
+                                  f"for a2={a2!r}")
+        assert not recwarn.list
 
     @pytest.mark.parametrize("d2_range", [(0, 100), (-5, 100), (10, 0)])
     def test_rejects_d2_bounds_below_one(self, d2_range, recwarn):
