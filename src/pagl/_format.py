@@ -10,7 +10,9 @@ rows at a time.
 
 import numpy as np
 
-_ROW_BLOCK = 1 << 14  # table rows formatted or parsed per pass
+# rows of a table or an edge list formatted or parsed per pass; keeps a
+# block's byte table in cache
+_ROW_BLOCK = 1 << 14
 
 
 def _field(value) -> str:

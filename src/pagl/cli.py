@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -157,7 +158,7 @@ def _build_analyze(args):
 
 
 # ---------------------------------------------------------------------------
-# fit
+# fit and bootstrap
 
 def _fit_entry(fit) -> dict:
     return {
@@ -166,14 +167,6 @@ def _fit_entry(fit) -> dict:
         "iterations": int(fit.iterations), "converged": bool(fit.converged),
         "domain_size": int(fit.domain_size),
     }
-
-
-def _attempt(fit, *args) -> dict:
-    """The entry of ``fit(*args)``, or of the ValueError it raised."""
-    try:
-        return _fit_entry(fit(*args))
-    except ValueError as exc:
-        return {"converged": False, "error": str(exc)}
 
 
 def _fit_tsv(degree_entry, edge_entry) -> bytes:
@@ -191,88 +184,96 @@ def _fit_tsv(degree_entry, edge_entry) -> bytes:
                        *zip(*rows)).encode()
 
 
-def _resolve_range(args, tails, surface, grid):
-    """Window selection (auto) or explicit bounds; returns range, domain
-    and fits already computed for the auto path."""
-    from .fitting import degree_range, pair_domain, select_range
-
-    if args.auto_range:
-        try:
-            sel = select_range(tails, surface, args.window, grid,
-                               ratio_cutoff=args.ratio_cutoff)
-        except ValueError as exc:
-            raise DivergenceError(str(exc))
-        return sel.range, sel.domain, sel.degree_fit, sel.edge_fit, True
-    if args.d1_lo is None or args.d1_hi is None:
-        raise ValueError("pass --d1-lo and --d1-hi, or --auto-range")
-    rng = degree_range(grid, args.d1_lo, args.d1_hi)
-    dom = pair_domain(rng, args.ratio_cutoff)
-    return rng, dom, None, None, False
+_Window = namedtuple("_Window", "hist grid range domain degree edge")
 
 
-def _load_degrees(args):
-    """The degrees table, its strict tails, and the ``--alpha`` grid that
-    analyze wrote the edges table on."""
+def _window(args) -> _Window:
+    """The degrees table, its ``--alpha`` grid, the window's degree range
+    and pair domain, and the entries of the degree and edge fits over the
+    window: None without ``--edges``, an ``error`` entry where a fit raises.
+
+    ``--edges`` is read whenever it is given.  ``--auto-range`` chooses
+    the window by :func:`select_range`; else ``--d1-lo`` and ``--d1-hi``
+    give it."""
+    from .fitting import degree_range, fit_degree, fit_edges, pair_domain, \
+        select_range
     from .stats import cumulative_degree, degree_grid
-    from .tables import load_degrees_tsv
+    from .tables import load_degrees_tsv, surface_from_tables
 
     hist = load_degrees_tsv(args.degrees)
     if hist.degrees.size == 0:
         raise ValueError(f"{args.degrees}: no positive-degree vertices")
     grid = degree_grid(hist, args.alpha)
-    return hist, cumulative_degree(hist), grid
+    tails = cumulative_degree(hist)
+    surface = (None if args.edges is None
+               else surface_from_tables(hist, args.edges, grid))
+    if args.auto_range:
+        if surface is None:
+            raise ValueError("--auto-range needs --edges")
+        try:
+            sel = select_range(tails, surface, args.window, grid,
+                               ratio_cutoff=args.ratio_cutoff)
+        except ValueError as exc:
+            raise DivergenceError(str(exc))
+        return _Window(hist, grid, sel.range, sel.domain,
+                       _fit_entry(sel.degree_fit), _fit_entry(sel.edge_fit))
+    if args.d1_lo is None or args.d1_hi is None:
+        raise ValueError("pass --d1-lo and --d1-hi, or --auto-range")
+    rng = degree_range(grid, args.d1_lo, args.d1_hi)
+    dom = pair_domain(rng, args.ratio_cutoff)
+    if surface is None:
+        return _Window(hist, grid, rng, dom, None, None)
+    entries = []
+    for fit, data, over in ((fit_degree, tails, rng), (fit_edges, surface, dom)):
+        try:
+            entries.append(_fit_entry(fit(data, over)))
+        except ValueError as exc:
+            entries.append({"converged": False, "error": str(exc)})
+    return _Window(hist, grid, rng, dom, *entries)
 
 
-def _bootstrap(args, target, hist, rng, dom, grid, B, inputs, edge_fit=None):
-    """Bootstrap one target; returns the report and its JSON entry.
+def _bootstrap(args, target, w: _Window, B, inputs):
+    """Bootstrap one target over the window; returns the report and its
+    JSON entry.
 
-    ``edge_fit``, the entry of any edge fit to ``--edges``, must equal the
-    edge bootstrap's original fit to ``--xcells`` bit for bit, as it does
-    when both tables come from one analyze run.
+    Whenever ``--edges`` gave an edge entry, the edge bootstrap's original
+    fit to ``--xcells`` must equal it bit for bit, as it does when both
+    tables come from one analyze run.
     """
     from .bootstrap import bootstrap_edges, bootstrap_vertices
     from .tables import load_xcells_tsv
 
     if target == "degrees":
-        rep = bootstrap_vertices(hist, rng, B=B, seed=args.seed,
+        rep = bootstrap_vertices(w.hist, w.range, B=B, seed=args.seed,
                                  threads=args.threads)
     else:
         if not args.xcells:
             raise ValueError("the edge bootstrap needs --xcells")
-        matrix = load_xcells_tsv(args.xcells)
         inputs.append(args.xcells)
-        rep = bootstrap_edges(hist, matrix, dom, grid, B=B, seed=args.seed,
-                              threads=args.threads)
-        fit = rep.original
-        if edge_fit and (edge_fit["a"], edge_fit["b"]) != (fit.a, fit.b):
+        rep = bootstrap_edges(w.hist, load_xcells_tsv(args.xcells), w.domain,
+                              w.grid, B=B, seed=args.seed, threads=args.threads)
+        fit, edge = rep.original, w.edge
+        if edge and (edge.get("a"), edge.get("b")) != (fit.a, fit.b):
+            got = (f"a2={edge['a']!r}" if "a" in edge
+                   else f"the error {edge['error']!r}")
             raise ValueError(
                 f"--edges {args.edges} and --xcells {args.xcells} do not come "
-                f"from one analyze run: the edge fit gives a2={edge_fit['a']!r} "
-                f"on --edges but {float(fit.a)!r} on --xcells")
+                f"from one analyze run: the edge fit gives {got} on --edges "
+                f"but a2={float(fit.a)!r} on --xcells")
     return rep, {"sigma_s2": float(rep.sigma_s2),
                  "iterations": rep.iterations, "diverged": rep.diverged}
 
 
 def _build_fit(args):
-    from .fitting import fit_degree, fit_edges
-    from .tables import surface_from_tables
-
-    hist, tails, grid = _load_degrees(args)
-    surface = surface_from_tables(hist, args.edges, grid)
-    rng, dom, fd, fe, auto = _resolve_range(args, tails, surface, grid)
-
-    if auto:
-        degree_entry, edge_entry = _fit_entry(fd), _fit_entry(fe)
-    else:
-        degree_entry = _attempt(fit_degree, tails, rng)
-        edge_entry = _attempt(fit_edges, surface, dom)
+    w = _window(args)
+    auto = args.auto_range
     report = {
-        "degree": degree_entry,
-        "edge": edge_entry,
-        "range": {"lo": rng.lo, "hi": rng.hi, "auto": auto,
+        "degree": w.degree,
+        "edge": w.edge,
+        "range": {"lo": w.range.lo, "hi": w.range.hi, "auto": auto,
                   "window": args.window if auto else None,
-                  "grid_points": len(rng.grid_points),
-                  "pair_count": len(dom)},
+                  "grid_points": len(w.range.grid_points),
+                  "pair_count": len(w.domain)},
         "alpha": args.alpha,
         "ratio_cutoff": args.ratio_cutoff,
     }
@@ -282,8 +283,8 @@ def _build_fit(args):
         boot = {}
         for target, kind in (("degrees", "degree"), ("edges", "edge")):
             if report[kind]["converged"]:
-                boot[target] = _bootstrap(args, target, hist, rng, dom, grid,
-                                          args.bootstrap, inputs, edge_entry)[1]
+                boot[target] = _bootstrap(args, target, w, args.bootstrap,
+                                          inputs)[1]
             else:
                 boot[target] = {
                     "error": f"original {kind} fit did not converge"}
@@ -292,10 +293,9 @@ def _build_fit(args):
     p = args.out_prefix
     payloads = {
         p + ".fit.json": _json_payload(report),
-        p + ".fit.tsv": _fit_tsv(degree_entry, edge_entry),
+        p + ".fit.tsv": _fit_tsv(w.degree, w.edge),
     }
-    all_diverged = not (degree_entry.get("converged")
-                        or edge_entry.get("converged"))
+    all_diverged = not (w.degree["converged"] or w.edge["converged"])
     error = "all requested fits diverged" if all_diverged else None
     shown = {"alpha": args.alpha, "ratio_cutoff": args.ratio_cutoff,
              "auto_range": auto, "window": args.window,
@@ -304,27 +304,10 @@ def _build_fit(args):
     return payloads, {"seed": args.seed}, shown, inputs, error
 
 
-# ---------------------------------------------------------------------------
-# bootstrap
-
 def _build_bootstrap(args):
-    from .tables import surface_from_tables
-
-    hist, tails, grid = _load_degrees(args)
-    inputs = [args.degrees]
-
-    if args.auto_range:
-        if not args.edges:
-            raise ValueError("--auto-range needs --edges")
-        surface = surface_from_tables(hist, args.edges, grid)
-        inputs.append(args.edges)
-    else:
-        surface = None
-    rng, dom, _fd, fe, auto = _resolve_range(args, tails, surface, grid)
-
-    edge_fit = _fit_entry(fe) if fe else None
-    rep, entry = _bootstrap(args, args.target, hist, rng, dom, grid,
-                            args.iterations, inputs, edge_fit)
+    w = _window(args)
+    inputs = [path for path in (args.degrees, args.edges) if path is not None]
+    rep, entry = _bootstrap(args, args.target, w, args.iterations, inputs)
 
     table = format_rows(
         "iteration\testimate", [*range(rep.iterations), "sigma_s2"],
@@ -333,7 +316,8 @@ def _build_bootstrap(args):
         "target": rep.target,
         "original": _fit_entry(rep.original),
         **entry,
-        "range": {"lo": rng.lo, "hi": rng.hi, "auto": auto},
+        "range": {"lo": w.range.lo, "hi": w.range.hi,
+                  "auto": args.auto_range},
     }
     p = args.out_prefix
     payloads = {
@@ -342,7 +326,8 @@ def _build_bootstrap(args):
     }
     shown = {"target": args.target, "iterations": args.iterations,
              "alpha": args.alpha, "ratio_cutoff": args.ratio_cutoff,
-             "auto_range": auto, "d1_lo": args.d1_lo, "d1_hi": args.d1_hi}
+             "auto_range": args.auto_range,
+             "d1_lo": args.d1_lo, "d1_hi": args.d1_hi}
     return payloads, {"seed": args.seed}, shown, inputs, None
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._format import format_block
+from ._format import _ROW_BLOCK, format_block
 
 __all__ = [
     "Graph",
@@ -388,15 +388,12 @@ def load_edge_list(source) -> Graph:
     return Graph(declared_n, edges)
 
 
-_DIGITS_BLOCK = 1 << 14  # edges formatted per pass; keeps the byte table in cache
-
-
 def edge_list_bytes(g: Graph) -> bytes:
     """The text form of ``g``: an ``#n`` header then one ``u v`` line per edge."""
     edges = g.edges
     parts = [f"#n {g.n}\n".encode()]
-    for lo in range(0, edges.shape[0], _DIGITS_BLOCK):
-        block = edges[lo:lo + _DIGITS_BLOCK]
+    for lo in range(0, edges.shape[0], _ROW_BLOCK):
+        block = edges[lo:lo + _ROW_BLOCK]
         parts.append(format_block((block[:, 0], block[:, 1]), b" "))
     return b"".join(parts)
 

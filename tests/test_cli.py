@@ -243,6 +243,31 @@ class TestBootstrapCommand:
         assert report["range"]["auto"] is True
         assert report["sigma_s2"] > 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--d1-lo", 3, "--d1-hi", 100],
+        ["--auto-range", "--window", 1.5],
+    ], ids=["explicit", "auto"])
+    def test_manifest_lists_edges(self, pipeline, tmp_path, argv):
+        a = pipeline / "A"
+        assert run("bootstrap", "--target", "edges", *argv,
+                   "--degrees", f"{a}.degrees.tsv",
+                   "--edges", f"{a}.edges.tsv", "--xcells", f"{a}.xcells.tsv",
+                   "--iterations", 5, "--out-prefix", tmp_path / "B") == 0
+        manifest = json.loads((tmp_path / "B.manifest.json").read_text())
+        assert manifest["inputs"] == sorted(
+            f"{a}.{kind}.tsv" for kind in ("degrees", "edges", "xcells"))
+
+    def test_missing_edges_is_4(self, pipeline, tmp_path, capsys):
+        a = pipeline / "A"
+        assert run("bootstrap", "--target", "edges",
+                   "--degrees", f"{a}.degrees.tsv",
+                   "--edges", tmp_path / "absent.edges.tsv",
+                   "--xcells", f"{a}.xcells.tsv", "--d1-lo", 3, "--d1-hi", 100,
+                   "--iterations", 5, "--out-prefix", tmp_path / "B") == 4
+        err = capsys.readouterr().err
+        assert "absent.edges.tsv" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("B.*"))
+
     def test_edges_target_needs_xcells(self, pipeline, tmp_path):
         assert run("bootstrap", "--target", "edges",
                    "--degrees", pipeline / "A.degrees.tsv",
@@ -270,7 +295,9 @@ class TestOneAnalysisPerRun:
         ["fit", "--auto-range", "--window", 1.5, "--bootstrap", 5],
         ["bootstrap", "--target", "edges", "--auto-range", "--window", 1.5,
          "--iterations", 5],
-    ], ids=["fit-explicit", "fit-auto", "bootstrap-auto"])
+        ["bootstrap", "--target", "edges", "--d1-lo", 3, "--d1-hi", 100,
+         "--iterations", 5],
+    ], ids=["fit-explicit", "fit-auto", "bootstrap-auto", "bootstrap-explicit"])
     def test_mixed_runs_exit_2(self, pipeline, other_run, tmp_path, argv,
                                capsys):
         a, other = pipeline / "A", other_run / "A"
@@ -281,6 +308,23 @@ class TestOneAnalysisPerRun:
         err = capsys.readouterr().err
         assert (f"--edges {a}.edges.tsv and --xcells {other}.xcells.tsv do "
                 f"not come from one analyze run") in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("M.*"))
+
+    def test_edge_fit_error_on_edges_exits_2(self, pipeline, tmp_path,
+                                             monkeypatch, capsys):
+        # the fit to --edges raises where the fit to --xcells converges
+        def fails(surface, domain):
+            raise ValueError("no edge fit")
+
+        monkeypatch.setattr(pagl.fitting, "fit_edges", fails)
+        a = pipeline / "A"
+        assert run("bootstrap", "--target", "edges", *tables(pipeline),
+                   "--iterations", 5, "--out-prefix", tmp_path / "M") == 2
+        err = capsys.readouterr().err
+        assert (f"--edges {a}.edges.tsv and --xcells {a}.xcells.tsv do not "
+                f"come from one analyze run: the edge fit gives the error "
+                f"'no edge fit' on --edges") in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("M.*"))
 
@@ -491,6 +535,28 @@ class TestBootstrapWorkers:
                             for p in tmp_path.glob(f"T{threads}.*")
                             if not p.name.endswith(".manifest.json")})
         assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+
+    def test_outputs_do_not_depend_on_blas_threads(self, pipeline, tmp_path):
+        a = pipeline / "A"
+        argv = ["fit", "--degrees", f"{a}.degrees.tsv",
+                "--edges", f"{a}.edges.tsv", "--xcells", f"{a}.xcells.tsv",
+                "--auto-range", "--bootstrap", 5, "--threads", 2]
+        env = {key: value for key, value in child_env().items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        outputs = []
+        for name, blas in (("one", {"OPENBLAS_NUM_THREADS": "1",
+                                    "OMP_NUM_THREADS": "1"}), ("all", {})):
+            out = tmp_path / name
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "pagl.cli", *map(str, argv),
+                 "--out-prefix", out / "F"],
+                env={**env, **blas}, capture_output=True, text=True,
+                timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / f"F.fit.{ext}").read_bytes()
+                            for ext in ("json", "tsv")])
+        assert outputs[0] == outputs[1]
 
     def test_worker_failure_is_4(self, pipeline, tmp_path, monkeypatch, capsys):
         caller, refit = os.getpid(), _PowerLaw.refit

@@ -18,6 +18,7 @@ from pagl.fitting import (
 )
 from pagl.stats import (
     DegreeHistogram,
+    LogGrid,
     RhoSurface,
     TailCounts,
     cumulative_degree,
@@ -394,6 +395,107 @@ class TestSelectRange:
 
     def test_divergence_error_is_runtime_error(self):
         assert issubclass(DivergenceError, RuntimeError)
+
+    @pytest.mark.parametrize("case, window, reasons", [
+        ("sparse grid", 1.2, {"under 2 points", "under 3 points", "no pairs"}),
+        ("zero tail", 3.0, {"zero tail"}),
+        ("zero rho", 1.5, {"diverged"}),
+        ("one positive rho", 2.0, {"diverged"}),
+    ])
+    def test_skips_what_a_scan_by_hand_skips(self, case, window, reasons):
+        tails, surface = skip_case(case)
+        want, seen = scan_by_hand(tails, surface, window)
+        assert reasons <= seen
+        try:
+            sel = select_range(tails, surface, window, surface.grid)
+        except ValueError as exc:
+            assert str(exc) == "no window with both fits convergent"
+            assert want is None
+        else:
+            assert (sel.product, sel.range.lo, sel.range.hi,
+                    sel.window) == want
+
+
+def skip_case(case):
+    """Noisy model tables on which some windows of ``select_range`` fail
+    for the reasons ``case`` names."""
+    gen = np.random.default_rng(1)
+
+    def noise(size):
+        return np.exp(gen.normal(0.0, 0.05, size))
+
+    grid = log_grid(1.2, 3000)
+    if case == "sparse grid":
+        # no grid point below 15, nor between 1020 and 10^5
+        dense = log_grid(1.2, 1000).points
+        grid = LogGrid(1.2, np.append(dense[dense >= 15], 100_000))
+    pts = grid.points
+    tails = synthetic_tails(pts, 0.5, 1e6, noise(pts.size))
+    k = len(grid)
+    i, j = np.tril_indices(k)
+    rho = edge_model(0.5, 3e-4, pts[i], pts[j]) * noise(i.size)
+    surface = packed_surface(grid, rho)
+    if case == "zero tail":
+        # no vertex above degree 300, so every window of log10 length 3
+        # holds a zero tail; as analyze writes it, the surface stops at the
+        # last grid point with a positive tail
+        p = np.count_nonzero(pts <= 300)
+        tails.suffix[p + 1:] = 0
+        packed = p * (p + 1) // 2
+        surface = RhoSurface(grid, np.append(np.ones(p, np.int64),
+                                             np.zeros(k - p, np.int64)),
+                             surface.X[:packed], surface.Xcum[:packed],
+                             rho[:packed])
+    if case == "zero rho":
+        # no edge joins two vertices above degree 20
+        surface.rho[pts[j] >= 20] = 0.0
+    if case == "one positive rho":
+        # every pair domain holds at most one positive rho
+        surface.rho[(pts[i] != 12) | (pts[j] != 1)] = 0.0
+    return tails, surface
+
+
+def scan_by_hand(tails, surface, window, cutoff=10.0):
+    """``select_range`` by exhaustion: the objective product, range and
+    length of the best window, or None, and the reasons the rejected
+    windows fail.
+
+    Each window length, from ``window`` down by 0.5 to 1.2, tries every
+    window from 10^0 up in log10 steps of 0.1, checked in full; the first
+    length with a valid window gives its smallest product, the earliest
+    on a tie.
+    """
+    pts = surface.grid.points
+    top = math.log10(tails.degrees.max())
+    seen = set()
+    w = window
+    while w >= 1.2:
+        valid = []
+        x = 0.0
+        while x + w <= top + 1e-12:
+            lo, hi = max(1, math.floor(10.0 ** x)), math.floor(10.0 ** (x + w))
+            x += 0.1
+            inside = pts[(pts >= lo) & (pts <= hi)]
+            if inside.size < 2:
+                seen.add("under 2 points")
+            elif inside.size < 3:
+                seen.add("under 3 points")
+            elif not np.any(inside[:, None] > cutoff * inside[None, :]):
+                seen.add("no pairs")
+            elif np.any(tails.at(inside) == 0):
+                seen.add("zero tail")
+            else:
+                rng = degree_range(surface.grid, lo, hi)
+                df = fit_degree(tails, rng)
+                ef = fit_edges(surface, pair_domain(rng, cutoff))
+                if df.converged and ef.converged:
+                    valid.append((df.objective * ef.objective, lo, hi, w))
+                else:
+                    seen.add("diverged")
+        if valid:
+            return min(valid, key=lambda v: v[0]), seen
+        w -= 0.5
+    return None, seen
 
 
 def test_fit_bit_pin():

@@ -139,7 +139,7 @@ class TestEdgeListAgainstDigitTable:
         g = Graph(1 + max((max(e) for e in edges), default=-1), edges)
         want = digits_oracle(g)
         assert edge_list_bytes(g) == want
-        with mock.patch.object(pagl.graphs, "_DIGITS_BLOCK", block):
+        with mock.patch.object(pagl.graphs, "_ROW_BLOCK", block):
             assert edge_list_bytes(g) == want
 
     def test_rows_across_a_block(self):

@@ -194,7 +194,7 @@ class TestWriterMatchesLineOracle:
         g = Graph(1 + max((max(e) for e in edges), default=-1), edges)
         want = io.StringIO()
         save_edge_list_lines(g, want)
-        with mock.patch.object(pagl.graphs, "_DIGITS_BLOCK", block):
+        with mock.patch.object(pagl.graphs, "_ROW_BLOCK", block):
             assert edge_list_bytes(g) == want.getvalue().encode()
 
 
