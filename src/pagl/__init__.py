@@ -49,7 +49,7 @@ _EXPORTS = {
         "FitResult", "GNResult", "DivergenceError", "DegreeRange",
         "PairDomain", "RangeSelection", "degree_model", "edge_model",
         "loglog_regression", "gauss_newton", "degree_range", "pair_domain",
-        "fit_degree", "fit_edges", "select_range",
+        "fit_degree", "fit_edges", "fit_range", "select_range",
     ),
     "bootstrap": (
         "BootstrapReport", "bootstrap_vertices", "bootstrap_edges",

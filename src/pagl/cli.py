@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time
-from collections import namedtuple
 
 import numpy as np
 
@@ -64,12 +63,6 @@ def _graph_payload(g: Graph, fmt: str) -> bytes:
         save_binary(g, buf)
         return buf.getvalue()
     return edge_list_bytes(g)
-
-
-def _load_graph(path: str, override: str | None) -> Graph:
-    if _graph_format(path, override) == "binary":
-        return load_binary(path)
-    return load_edge_list(path)
 
 
 def _text(writer, *args) -> bytes:
@@ -145,8 +138,9 @@ def _build_analyze(args):
     from .tables import write_degrees_tsv, write_dnn_tsv, write_edges_tsv, \
         write_xcells_tsv
 
-    t = graph_tables(simplify(_load_graph(args.graph, args.format)),
-                     args.alpha)
+    fmt = _graph_format(args.graph, args.format)
+    load = load_binary if fmt == "binary" else load_edge_list
+    t = graph_tables(simplify(load(args.graph)), args.alpha)
     p = args.out_prefix
     payloads = {
         p + ".degrees.tsv": _text(write_degrees_tsv, t.hist),
@@ -154,13 +148,16 @@ def _build_analyze(args):
         p + ".dnn.tsv": _text(write_dnn_tsv, t.profile),
         p + ".xcells.tsv": _text(write_xcells_tsv, t.matrix),
     }
-    return payloads, {}, {"alpha": args.alpha}, [args.graph], None
+    shown = {"alpha": args.alpha, "format": fmt}
+    return payloads, {}, shown, [args.graph], None
 
 
 # ---------------------------------------------------------------------------
 # fit and bootstrap
 
 def _fit_entry(fit) -> dict:
+    if fit.error is not None:
+        return {"converged": False, "error": fit.error}
     return {
         "a": float(fit.a), "b": float(fit.b),
         "sigma2": float(fit.sigma2), "objective": float(fit.objective),
@@ -169,37 +166,32 @@ def _fit_entry(fit) -> dict:
     }
 
 
-def _fit_tsv(degree_entry, edge_entry) -> bytes:
-    rows = []
-    for names, entry in ((("a1", "b1"), degree_entry),
-                         (("a2", "b2"), edge_entry)):
-        for name, key in zip(names, ("a", "b")):
-            if "a" not in entry:
-                rows.append((name, "nan", "nan", 0, "false"))
-                continue
-            conv = "true" if entry["converged"] else "false"
-            rows.append((name, entry[key], entry["sigma2"],
-                         entry["iterations"], conv))
+def _fit_tsv(degree_fit, edge_fit) -> bytes:
+    """One row per parameter; a fit that raised has NaNs and 0 iterations."""
+    rows = [(name, value, fit.sigma2, fit.iterations,
+             "true" if fit.converged else "false")
+            for names, fit in ((("a1", "b1"), degree_fit),
+                               (("a2", "b2"), edge_fit))
+            for name, value in zip(names, (fit.a, fit.b))]
     return format_rows("parameter\testimate\tsigma2\titerations\tconverged",
                        *zip(*rows)).encode()
 
 
-_Window = namedtuple("_Window", "hist grid range domain degree edge")
-
-
-def _window(args) -> _Window:
-    """The degrees table, its ``--alpha`` grid, the window's degree range
-    and pair domain, and the entries of the degree and edge fits over the
-    window: None without ``--edges``, an ``error`` entry where a fit raises.
+def _window(args):
+    """The degrees table, its ``--alpha`` grid, and the window's
+    :class:`RangeSelection`, whose fits are None without ``--edges``.
 
     ``--edges`` is read whenever it is given.  ``--auto-range`` chooses
     the window by :func:`select_range`; else ``--d1-lo`` and ``--d1-hi``
-    give it."""
-    from .fitting import degree_range, fit_degree, fit_edges, pair_domain, \
-        select_range
+    give it, fitted by :func:`fit_range`."""
+    from .fitting import RangeSelection, degree_range, fit_range, \
+        pair_domain, select_range
     from .stats import cumulative_degree, degree_grid
     from .tables import load_degrees_tsv, surface_from_tables
 
+    if args.auto_range and (args.d1_lo, args.d1_hi) != (None, None):
+        raise ValueError("--auto-range chooses the window; it conflicts "
+                         "with --d1-lo and --d1-hi")
     hist = load_degrees_tsv(args.degrees)
     if hist.degrees.size == 0:
         raise ValueError(f"{args.degrees}: no positive-degree vertices")
@@ -210,33 +202,22 @@ def _window(args) -> _Window:
     if args.auto_range:
         if surface is None:
             raise ValueError("--auto-range needs --edges")
-        try:
-            sel = select_range(tails, surface, args.window, grid,
-                               ratio_cutoff=args.ratio_cutoff)
-        except ValueError as exc:
-            raise DivergenceError(str(exc))
-        return _Window(hist, grid, sel.range, sel.domain,
-                       _fit_entry(sel.degree_fit), _fit_entry(sel.edge_fit))
+        return hist, grid, select_range(tails, surface, args.window, grid,
+                                        ratio_cutoff=args.ratio_cutoff)
     if args.d1_lo is None or args.d1_hi is None:
         raise ValueError("pass --d1-lo and --d1-hi, or --auto-range")
     rng = degree_range(grid, args.d1_lo, args.d1_hi)
-    dom = pair_domain(rng, args.ratio_cutoff)
     if surface is None:
-        return _Window(hist, grid, rng, dom, None, None)
-    entries = []
-    for fit, data, over in ((fit_degree, tails, rng), (fit_edges, surface, dom)):
-        try:
-            entries.append(_fit_entry(fit(data, over)))
-        except ValueError as exc:
-            entries.append({"converged": False, "error": str(exc)})
-    return _Window(hist, grid, rng, dom, *entries)
+        dom = pair_domain(rng, args.ratio_cutoff)
+        return hist, grid, RangeSelection(rng, dom, None, math.nan, None, None)
+    return hist, grid, fit_range(tails, surface, rng, args.ratio_cutoff)
 
 
-def _bootstrap(args, target, w: _Window, B, inputs):
-    """Bootstrap one target over the window; returns the report and its
-    JSON entry.
+def _bootstrap(args, target, hist, grid, sel, B, inputs):
+    """Bootstrap one target over the window of :func:`_window`; returns
+    the report and its JSON entry.
 
-    Whenever ``--edges`` gave an edge entry, the edge bootstrap's original
+    Whenever ``--edges`` gave an edge fit, the edge bootstrap's original
     fit to ``--xcells`` must equal it bit for bit, as it does when both
     tables come from one analyze run.
     """
@@ -244,18 +225,18 @@ def _bootstrap(args, target, w: _Window, B, inputs):
     from .tables import load_xcells_tsv
 
     if target == "degrees":
-        rep = bootstrap_vertices(w.hist, w.range, B=B, seed=args.seed,
+        rep = bootstrap_vertices(hist, sel.range, B=B, seed=args.seed,
                                  threads=args.threads)
     else:
         if not args.xcells:
             raise ValueError("the edge bootstrap needs --xcells")
         inputs.append(args.xcells)
-        rep = bootstrap_edges(w.hist, load_xcells_tsv(args.xcells), w.domain,
-                              w.grid, B=B, seed=args.seed, threads=args.threads)
-        fit, edge = rep.original, w.edge
-        if edge and (edge.get("a"), edge.get("b")) != (fit.a, fit.b):
-            got = (f"a2={edge['a']!r}" if "a" in edge
-                   else f"the error {edge['error']!r}")
+        rep = bootstrap_edges(hist, load_xcells_tsv(args.xcells), sel.domain,
+                              grid, B=B, seed=args.seed, threads=args.threads)
+        fit, edge = rep.original, sel.edge_fit
+        if edge is not None and (edge.a, edge.b) != (fit.a, fit.b):
+            got = (f"the error {edge.error!r}" if edge.error is not None
+                   else f"a2={edge.a!r}")
             raise ValueError(
                 f"--edges {args.edges} and --xcells {args.xcells} do not come "
                 f"from one analyze run: the edge fit gives {got} on --edges "
@@ -265,15 +246,15 @@ def _bootstrap(args, target, w: _Window, B, inputs):
 
 
 def _build_fit(args):
-    w = _window(args)
+    hist, grid, sel = _window(args)
     auto = args.auto_range
     report = {
-        "degree": w.degree,
-        "edge": w.edge,
-        "range": {"lo": w.range.lo, "hi": w.range.hi, "auto": auto,
+        "degree": _fit_entry(sel.degree_fit),
+        "edge": _fit_entry(sel.edge_fit),
+        "range": {"lo": sel.range.lo, "hi": sel.range.hi, "auto": auto,
                   "window": args.window if auto else None,
-                  "grid_points": len(w.range.grid_points),
-                  "pair_count": len(w.domain)},
+                  "grid_points": len(sel.range.grid_points),
+                  "pair_count": len(sel.domain)},
         "alpha": args.alpha,
         "ratio_cutoff": args.ratio_cutoff,
     }
@@ -283,8 +264,8 @@ def _build_fit(args):
         boot = {}
         for target, kind in (("degrees", "degree"), ("edges", "edge")):
             if report[kind]["converged"]:
-                boot[target] = _bootstrap(args, target, w, args.bootstrap,
-                                          inputs)[1]
+                boot[target] = _bootstrap(args, target, hist, grid, sel,
+                                          args.bootstrap, inputs)[1]
             else:
                 boot[target] = {
                     "error": f"original {kind} fit did not converge"}
@@ -293,9 +274,9 @@ def _build_fit(args):
     p = args.out_prefix
     payloads = {
         p + ".fit.json": _json_payload(report),
-        p + ".fit.tsv": _fit_tsv(w.degree, w.edge),
+        p + ".fit.tsv": _fit_tsv(sel.degree_fit, sel.edge_fit),
     }
-    all_diverged = not (w.degree["converged"] or w.edge["converged"])
+    all_diverged = not (sel.degree_fit.converged or sel.edge_fit.converged)
     error = "all requested fits diverged" if all_diverged else None
     shown = {"alpha": args.alpha, "ratio_cutoff": args.ratio_cutoff,
              "auto_range": auto, "window": args.window,
@@ -305,9 +286,10 @@ def _build_fit(args):
 
 
 def _build_bootstrap(args):
-    w = _window(args)
+    hist, grid, sel = _window(args)
     inputs = [path for path in (args.degrees, args.edges) if path is not None]
-    rep, entry = _bootstrap(args, args.target, w, args.iterations, inputs)
+    rep, entry = _bootstrap(args, args.target, hist, grid, sel,
+                            args.iterations, inputs)
 
     table = format_rows(
         "iteration\testimate", [*range(rep.iterations), "sigma_s2"],
@@ -316,7 +298,7 @@ def _build_bootstrap(args):
         "target": rep.target,
         "original": _fit_entry(rep.original),
         **entry,
-        "range": {"lo": w.range.lo, "hi": w.range.hi,
+        "range": {"lo": sel.range.lo, "hi": sel.range.hi,
                   "auto": args.auto_range},
     }
     p = args.out_prefix
@@ -326,7 +308,7 @@ def _build_bootstrap(args):
     }
     shown = {"target": args.target, "iterations": args.iterations,
              "alpha": args.alpha, "ratio_cutoff": args.ratio_cutoff,
-             "auto_range": args.auto_range,
+             "auto_range": args.auto_range, "window": args.window,
              "d1_lo": args.d1_lo, "d1_hi": args.d1_hi}
     return payloads, {"seed": args.seed}, shown, inputs, None
 

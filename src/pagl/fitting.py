@@ -41,6 +41,7 @@ __all__ = [
     "fit_degree",
     "fit_edges",
     "RangeSelection",
+    "fit_range",
     "select_range",
 ]
 
@@ -258,6 +259,7 @@ class FitResult:
 
     ``sigma2`` is the mean squared raw-scale deviation over the fitting
     domain; ``objective`` is the minimized sqrt-scale mean square.
+    ``error`` holds the message of a fit that raised (see :func:`fit_range`).
     """
 
     a: float
@@ -268,6 +270,13 @@ class FitResult:
     objective: float
     domain_size: int
     trace: list = field(default_factory=list)
+    error: str | None = None
+
+
+def _unfitted(domain_size: int, error: str | None = None) -> FitResult:
+    """A fit with no estimate: NaN parameters, not converged."""
+    return FitResult(math.nan, math.nan, math.nan, 0, False, math.inf,
+                     domain_size, error=error)
 
 
 def _clamp(x, lo, hi):
@@ -407,9 +416,7 @@ def _fit_rho(y, domain: PairDomain, *, initial=None) -> FitResult:
     if initial is None:
         pos = y > 0
         if pos.sum() < 2:
-            return FitResult(a=math.nan, b=math.nan, sigma2=math.nan,
-                             iterations=0, converged=False, objective=math.inf,
-                             domain_size=int(y.size))
+            return _unfitted(int(y.size))
         coef = np.polyfit(law.u[pos], np.log(y[pos]) - law.c[pos], 1)
         a0 = _clamp(float(coef[0]), -5.0, 10.0)
         lnb0 = float(coef[1])
@@ -423,17 +430,34 @@ def _fit_rho(y, domain: PairDomain, *, initial=None) -> FitResult:
 
 @dataclass
 class RangeSelection:
-    """Chosen fitting window with the fits that won the selection.
-
-    ``window`` is the log10 length actually used after any shrinking.
-    """
+    """A degree range and its pair domain with the two fits over them.
+    ``window`` is the log10 length :func:`select_range` used after any
+    shrinking, None for a range it did not choose."""
 
     range: DegreeRange
     domain: PairDomain
-    window: float
+    window: float | None
     product: float
     degree_fit: FitResult
     edge_fit: FitResult
+
+
+def fit_range(cum_deg: TailCounts, surface: RhoSurface, rng: DegreeRange,
+              ratio_cutoff: float = 10.0) -> RangeSelection:
+    """Fit the degree model over the range's grid points and, independently,
+    the edge model over its pair domain.  A fit that raises ValueError comes
+    back unconverged, its message in ``error``."""
+    dom = pair_domain(rng, ratio_cutoff)
+
+    def attempt(fit, data, over, size):
+        try:
+            return fit(data, over)
+        except ValueError as exc:
+            return _unfitted(size, str(exc))
+
+    df = attempt(fit_degree, cum_deg, rng, rng.grid_points.size)
+    ef = attempt(fit_edges, surface, dom, len(dom))
+    return RangeSelection(rng, dom, None, df.objective * ef.objective, df, ef)
 
 
 # the window search: log10 advance per window, fewest grid points in a
@@ -446,15 +470,15 @@ _SHRINK = 0.5
 def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,
                  grid: LogGrid = None, *,
                  ratio_cutoff: float = 10.0) -> RangeSelection:
-    """Slide a log10 window over the degree axis and keep the one whose
-    two fits have the smallest product of sqrt-scale objectives.
+    """Slide a log10 window over the degree axis and keep the
+    :func:`fit_range` record whose two fits converge with the smallest
+    product of sqrt-scale objectives.
 
-    Windows advance in log10 steps of 0.1.  A window is valid when it
-    holds at least 3 grid points, every one with a positive tail count,
-    the pair domain is nonempty, and both fits converge.  If a window
-    length yields no valid window it shrinks by 0.5 (recorded in the
-    result) down to 1.2 before giving up; ``window`` must be at least 1.2
-    and at most ``log10`` of the largest float.
+    Windows advance in log10 steps of 0.1 and must hold at least 3 grid
+    points.  If a window length yields no convergent window it shrinks by
+    0.5 (recorded in the result) down to 1.2; below that, DivergenceError.
+    ``window`` must be at least 1.2 and at most ``log10`` of the largest
+    float.
     """
     if not _MIN_WINDOW <= window <= _MAX_WINDOW:
         raise ValueError(f"window {window!r} is not in "
@@ -479,20 +503,13 @@ def select_range(cum_deg: TailCounts, surface: RhoSurface, window: float = 3.0,
                 continue
             if rng.grid_points.size < _MIN_POINTS:
                 continue
-            dom = pair_domain(rng, ratio_cutoff)
-            if len(dom) == 0:
+            sel = fit_range(cum_deg, surface, rng, ratio_cutoff)
+            if not (sel.degree_fit.converged and sel.edge_fit.converged):
                 continue
-            try:
-                df = fit_degree(cum_deg, rng)
-                ef = fit_edges(surface, dom)
-            except ValueError:
-                continue
-            if not (df.converged and ef.converged):
-                continue
-            product = df.objective * ef.objective
-            if best is None or product < best.product:
-                best = RangeSelection(rng, dom, w, product, df, ef)
+            if best is None or sel.product < best.product:
+                best = sel
         if best is not None:
+            best.window = w
             return best
         w -= _SHRINK
-    raise ValueError("no window with both fits convergent")
+    raise DivergenceError("no window with both fits convergent")

@@ -39,6 +39,17 @@ def pipeline(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def gds_run(tmp_path_factory):
+    """A generate -> analyze run of the gds baseline, from a binary graph."""
+    root = tmp_path_factory.mktemp("gds")
+    g = root / "g.bin"
+    assert run("generate", "--model", "gds", "--gamma", 2.276, "--n", 20000,
+               "--seed", 1, "--out", g) == 0
+    assert run("analyze", "--graph", g, "--out-prefix", root / "A") == 0
+    return root
+
+
 class TestGenerate:
     def test_bo_text(self, tmp_path):
         out = tmp_path / "bo.tsv"
@@ -139,6 +150,19 @@ class TestAnalyze:
         assert (tmp_path / "E.edges.tsv").read_text() == "d1\td2\tX\tXcum\trho\n"
         assert (tmp_path / "E.xcells.tsv").read_text() == "d1\td2\tx\n1\t1\t1\n"
 
+    @pytest.mark.parametrize("name, given, fmt", [
+        ("g.tsv", [], "text"), ("g.bin", [], "binary"),
+        ("g.dat", ["--format", "binary"], "binary"),
+    ])
+    def test_manifest_records_format(self, tmp_path, name, given, fmt):
+        g = tmp_path / name
+        assert run("generate", "--model", "bo", "--a", 0.5, "--m", 2,
+                   "--n", 300, "--format", fmt, "--out", g) == 0
+        assert run("analyze", "--graph", g, *given,
+                   "--out-prefix", tmp_path / "A") == 0
+        manifest = json.loads((tmp_path / "A.manifest.json").read_text())
+        assert manifest["parameters"] == {"alpha": 1.01, "format": fmt}
+
     def test_missing_graph(self, tmp_path):
         assert run("analyze", "--graph", tmp_path / "absent.tsv",
                    "--out-prefix", tmp_path / "X") == 4
@@ -213,6 +237,40 @@ class TestFit:
                    "--edges", pipeline / "A.edges.tsv",
                    "--out-prefix", tmp_path / "Z") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--d1-lo", 2, "--d1-hi", 50],
+        ["bootstrap", "--target", "degrees", "--d1-lo", 2, "--iterations", 5],
+    ], ids=["fit", "bootstrap"])
+    def test_auto_range_with_bounds_is_2(self, pipeline, tmp_path, capsys,
+                                         argv):
+        a = pipeline / "A"
+        assert run(*argv, "--auto-range", "--degrees", f"{a}.degrees.tsv",
+                   "--edges", f"{a}.edges.tsv",
+                   "--out-prefix", tmp_path / "Z") == 2
+        err = capsys.readouterr().err
+        assert err == ("pagl: --auto-range chooses the window; it conflicts "
+                       "with --d1-lo and --d1-hi\n")
+        assert not list(tmp_path.glob("Z.*"))
+
+    @pytest.mark.parametrize("analysis", ["pipeline", "gds_run"],
+                             ids=["bo-text", "gds-binary"])
+    def test_explicit_window_fits_as_the_selected_one(self, request, tmp_path,
+                                                      analysis):
+        a = request.getfixturevalue(analysis) / "A"
+        given = ["--degrees", f"{a}.degrees.tsv", "--edges", f"{a}.edges.tsv"]
+        assert run("fit", *given, "--auto-range",
+                   "--out-prefix", tmp_path / "auto") == 0
+        auto = json.loads((tmp_path / "auto.fit.json").read_text())
+        assert run("fit", *given, "--d1-lo", auto["range"]["lo"],
+                   "--d1-hi", auto["range"]["hi"],
+                   "--out-prefix", tmp_path / "explicit") == 0
+        explicit = json.loads((tmp_path / "explicit.fit.json").read_text())
+        for side in ("degree", "edge"):
+            assert auto[side]["converged"]
+            assert json.dumps(explicit[side]) == json.dumps(auto[side])
+        assert ((tmp_path / "explicit.fit.tsv").read_bytes()
+                == (tmp_path / "auto.fit.tsv").read_bytes())
+
 
 class TestBootstrapCommand:
     def test_degrees_target(self, pipeline, tmp_path):
@@ -256,6 +314,16 @@ class TestBootstrapCommand:
         manifest = json.loads((tmp_path / "B.manifest.json").read_text())
         assert manifest["inputs"] == sorted(
             f"{a}.{kind}.tsv" for kind in ("degrees", "edges", "xcells"))
+
+    def test_manifest_records_window(self, pipeline, tmp_path):
+        a = pipeline / "A"
+        assert run("bootstrap", "--target", "degrees", "--auto-range",
+                   "--window", 1.5, "--degrees", f"{a}.degrees.tsv",
+                   "--edges", f"{a}.edges.tsv", "--iterations", 5,
+                   "--out-prefix", tmp_path / "B") == 0
+        manifest = json.loads((tmp_path / "B.manifest.json").read_text())
+        assert manifest["parameters"]["window"] == 1.5
+        assert manifest["parameters"]["auto_range"] is True
 
     def test_missing_edges_is_4(self, pipeline, tmp_path, capsys):
         a = pipeline / "A"

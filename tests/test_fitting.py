@@ -11,6 +11,7 @@ from pagl.fitting import (
     edge_model,
     fit_degree,
     fit_edges,
+    fit_range,
     gauss_newton,
     loglog_regression,
     pair_domain,
@@ -383,7 +384,7 @@ class TestSelectRange:
         tails = synthetic_tails(pts, 0.5, 100.0)
         k = len(grid)
         surf = packed_surface(grid, np.full(k * (k + 1) // 2, np.nan))
-        with pytest.raises(ValueError):
+        with pytest.raises(DivergenceError):
             select_range(tails, surf, window=3.0, grid=grid)
 
     @pytest.mark.parametrize("window", [math.inf, 1e300, math.nan, 0.5])
@@ -408,12 +409,53 @@ class TestSelectRange:
         assert reasons <= seen
         try:
             sel = select_range(tails, surface, window, surface.grid)
-        except ValueError as exc:
+        except DivergenceError as exc:
             assert str(exc) == "no window with both fits convergent"
             assert want is None
         else:
             assert (sel.product, sel.range.lo, sel.range.hi,
                     sel.window) == want
+
+
+class TestFitRange:
+    @pytest.mark.parametrize("case, window", [
+        ("exact", 2.0), ("sparse grid", 1.2), ("zero tail", 3.0),
+        ("zero rho", 1.5),
+    ])
+    def test_matches_the_selected_window(self, case, window):
+        if case == "exact":
+            tails, surface = (synthetic_tails(GRID.points, 0.5, 1e6),
+                              synthetic_surface(0.5, 3e-4))
+        else:
+            tails, surface = skip_case(case)
+        sel = select_range(tails, surface, window, surface.grid)
+        again = fit_range(tails, surface, sel.range)
+        assert again.window is None
+        assert (again.range, len(again.domain)) == (sel.range, len(sel.domain))
+        for got, want in ((again.degree_fit, sel.degree_fit),
+                          (again.edge_fit, sel.edge_fit)):
+            assert [repr(getattr(got, key)) for key in
+                    ("a", "b", "objective", "iterations")] == \
+                [repr(getattr(want, key)) for key in
+                 ("a", "b", "objective", "iterations")]
+
+    @pytest.mark.parametrize("hi, cutoff, failed, kept, error", [
+        (int(GRID.points[-1]), 10.0, "degree_fit", "edge_fit",
+         "cumulative degree count vanishes inside the fit range"),
+        (2000, 1e9, "edge_fit", "degree_fit", "empty pair domain"),
+    ], ids=["zero strict tail", "no pairs"])
+    def test_a_fit_that_raises_is_an_error(self, hi, cutoff, failed, kept,
+                                           error):
+        # as in a degrees table, no vertex is above the top grid point
+        tails = synthetic_tails(GRID.points, 0.5, 1e6)
+        tails.suffix[-1] = 0
+        rng = degree_range(GRID, 10, hi)
+        sel = fit_range(tails, synthetic_surface(0.5, 3e-4), rng, cutoff)
+        bad, good = getattr(sel, failed), getattr(sel, kept)
+        assert (bad.error, bad.converged, bad.iterations) == (error, False, 0)
+        assert math.isnan(bad.a) and math.isnan(bad.b)
+        assert good.error is None and good.converged
+        assert good.a == pytest.approx(0.5, abs=1e-6)
 
 
 def skip_case(case):
