@@ -7,18 +7,22 @@ initial-attractiveness parameter from either distribution.
 Importing pagl loads none of its submodules: each public name loads its
 submodule the first time it is looked up, so a program pays only for
 the parts of pagl it uses.
+
+``_EXPORTS`` is the one list of public names: each submodule's
+``__all__`` is read from its entry, so a new public name is listed once.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# every public name, by the submodule that defines it
+# every public name, by the submodule it is read from
 _EXPORTS = {
     "graphs": (
         "Graph", "SimpleGraph", "MultiplicityReport", "load_edge_list",
-        "save_edge_list", "load_binary", "save_binary", "simplify",
-        "count_multiplicities", "GraphFormatError", "GraphValidationError",
+        "save_edge_list", "edge_list_bytes", "load_binary", "save_binary",
+        "simplify", "count_multiplicities", "GraphFormatError",
+        "GraphValidationError",
     ),
     "buckley_osthus": (
         "BOParams", "generate_bo_chain", "generate_bo", "merge_blocks",
@@ -30,20 +34,21 @@ _EXPORTS = {
     ),
     "stats": (
         "DegreeHistogram", "EdgeDegreeMatrix", "LogGrid", "RhoSurface",
-        "NeighborDegreeProfile", "degree_histogram", "histogram_from_degrees",
-        "edge_degree_matrix", "cumulative_degree", "log_grid", "rho_surface",
-        "d_nn_profile", "GraphTables", "graph_tables", "degree_grid",
+        "NeighborDegreeProfile", "TailCounts", "degree_histogram",
+        "histogram_from_degrees", "edge_degree_matrix", "cumulative_degree",
+        "log_grid", "rho_surface", "d_nn_profile", "GraphTables",
+        "graph_tables", "degree_grid",
     ),
     "tables": (
         "write_degrees_tsv", "write_edges_tsv", "write_dnn_tsv",
         "write_xcells_tsv", "load_degrees_tsv", "surface_from_tables",
-        "load_dnn_tsv", "load_xcells_tsv",
+        "load_dnn_tsv", "load_xcells_tsv", "format_rows",
     ),
     "theory": (
         "TheoryParams", "log_gamma", "log_beta", "expected_degree_count",
         "expected_edge_count", "MultiplicityScalingReport",
         "multiplicity_scaling_report", "ShapeCheckReport", "tail_ratio",
-        "edge_model_shape_check",
+        "edge_model_shape_check", "MAX_SHAPE_PAIRS",
     ),
     "fitting": (
         "FitResult", "GNResult", "DivergenceError", "DegreeRange",

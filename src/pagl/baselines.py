@@ -14,17 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from ._limits import MAX_CHAIN
 from .graphs import Graph
 
-__all__ = [
-    "GDSParams",
-    "HKParams",
-    "power_law_cap",
-    "sample_power_law_degrees",
-    "generate_configuration",
-    "generate_holme_kim",
-]
+__all__ = list(_EXPORTS["baselines"])
 
 _HK_BLOCK = 1 << 16
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from ._workers import map_seeds
 from .fitting import (
     DegreeRange,
@@ -45,7 +46,7 @@ from .stats import (
     cumulative_degree,
 )
 
-__all__ = ["BootstrapReport", "bootstrap_vertices", "bootstrap_edges"]
+__all__ = list(_EXPORTS["bootstrap"])
 
 
 @dataclass
@@ -53,8 +54,11 @@ class BootstrapReport:
     """Per-iteration refitted exponents and their spread.
 
     ``estimates`` has one entry per iteration in iteration order, NaN
-    where the refit diverged; ``sigma_s2`` is the mean squared deviation
-    of the non-diverged estimates from the original estimate.
+    where the iteration gave no estimate.  ``diverged`` counts the NaN
+    entries: refits whose solve did not converge and, for the degree
+    target, resamples that leave a grid point of the range with an empty
+    tail, which are not refitted.  ``sigma_s2`` is the mean squared
+    deviation from the original estimate of the other entries only.
     """
 
     target: str

@@ -22,17 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from ._limits import MAX_CHAIN
 from ._workers import map_seeds
 from .graphs import Graph
 
-__all__ = [
-    "BOParams",
-    "generate_bo_chain",
-    "merge_blocks",
-    "generate_bo",
-    "generate_bo_samples",
-]
+__all__ = list(_EXPORTS["buckley_osthus"])
 
 # uniforms are drawn in fixed blocks of this size (r block then q block);
 # changing it would change generated graphs, so it is a constant

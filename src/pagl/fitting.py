@@ -23,27 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from ._limits import _MAX_WINDOW, _MIN_WINDOW, DivergenceError
 from .stats import LogGrid, RhoSurface, TailCounts, _grid_index, _packed
 
-__all__ = [
-    "DegreeRange",
-    "PairDomain",
-    "FitResult",
-    "GNResult",
-    "DivergenceError",
-    "degree_model",
-    "edge_model",
-    "loglog_regression",
-    "gauss_newton",
-    "degree_range",
-    "pair_domain",
-    "fit_degree",
-    "fit_edges",
-    "RangeSelection",
-    "fit_range",
-    "select_range",
-]
+__all__ = list(_EXPORTS["fitting"])
 
 
 def degree_model(a, b, d):

@@ -19,26 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SimpleGraph
+from . import _EXPORTS
+from .graphs import SimpleGraph, _run_starts
 
-__all__ = [
-    "DegreeHistogram",
-    "EdgeDegreeMatrix",
-    "LogGrid",
-    "RhoSurface",
-    "NeighborDegreeProfile",
-    "TailCounts",
-    "degree_histogram",
-    "histogram_from_degrees",
-    "edge_degree_matrix",
-    "cumulative_degree",
-    "log_grid",
-    "rho_surface",
-    "d_nn_profile",
-    "GraphTables",
-    "degree_grid",
-    "graph_tables",
-]
+__all__ = list(_EXPORTS["stats"])
 
 
 @dataclass
@@ -117,12 +101,8 @@ def edge_degree_matrix(g: SimpleGraph) -> EdgeDegreeMatrix:
         out <<= 32
         out |= np.minimum(a, b, out=a)
     keys.sort()
-    # a cell is a run of equal keys; find the runs by an adjacent difference
-    first = np.empty(keys.shape, bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
+    # a cell is a run of equal keys
+    starts = np.flatnonzero(_run_starts(keys))
     cells = keys[starts]
     return EdgeDegreeMatrix(
         d1=cells >> 32,

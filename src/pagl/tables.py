@@ -24,23 +24,14 @@ from itertools import chain, count, islice, repeat
 
 import numpy as np
 
+from . import _EXPORTS
 from ._format import _ROW_BLOCK, _lines, _slices, format_rows
 from .graphs import _open_stream, _write_bytes
 from .stats import DegreeHistogram, EdgeDegreeMatrix, LogGrid, \
     NeighborDegreeProfile, RhoSurface, _grid_index, _packed, _tail_rho, \
     _tail_sums, _unpacked, cumulative_degree
 
-__all__ = [
-    "format_rows",
-    "write_degrees_tsv",
-    "write_edges_tsv",
-    "write_dnn_tsv",
-    "write_xcells_tsv",
-    "load_degrees_tsv",
-    "surface_from_tables",
-    "load_dnn_tsv",
-    "load_xcells_tsv",
-]
+__all__ = list(_EXPORTS["tables"])
 
 DEGREES_HEADER = "d\tcount\tcumulative"
 EDGES_HEADER = "d1\td2\tX\tXcum\trho"
@@ -53,20 +44,14 @@ _DTYPES = {"i": np.int64, "f": np.float64}
 # ---------------------------------------------------------------------------
 # writing
 
-def _write(sink, header: str, blocks) -> None:
-    """Write ``header`` and the rows of every block of columns to ``sink``
-    (a path, or a text or byte stream), one block at a time."""
-    _write_bytes(sink, _lines(header, blocks))
-
-
 def write_degrees_tsv(h: DegreeHistogram, sink) -> None:
     """Rows ``d<TAB>count<TAB>cumulative`` over observed degrees (0 bucket
     included when present); cumulative is the strict tail count."""
     d, c = h.degrees, h.counts
     if h.isolated:
         d, c = np.append(0, d), np.append(h.isolated, c)
-    _write(sink, DEGREES_HEADER,
-           _slices((d, c, cumulative_degree(h).at(d)), _ROW_BLOCK))
+    _write_bytes(sink, _lines(DEGREES_HEADER, _slices(
+        (d, c, cumulative_degree(h).at(d)), _ROW_BLOCK)))
 
 
 def write_edges_tsv(surface: RhoSurface, sink) -> None:
@@ -82,17 +67,19 @@ def write_edges_tsv(surface: RhoSurface, sink) -> None:
             d1, d2 = points[np.stack(_unpacked(np.arange(lo, lo + rho.size)))]
             yield d1, d2, x, xcum, rho
 
-    _write(sink, EDGES_HEADER, blocks())
+    _write_bytes(sink, _lines(EDGES_HEADER, blocks()))
 
 
 def write_dnn_tsv(profile: NeighborDegreeProfile, sink) -> None:
     """Rows ``d<TAB>dnn`` over degrees with at least one edge."""
-    _write(sink, DNN_HEADER, _slices((profile.d, profile.dnn), _ROW_BLOCK))
+    _write_bytes(sink, _lines(DNN_HEADER,
+                              _slices((profile.d, profile.dnn), _ROW_BLOCK)))
 
 
 def write_xcells_tsv(mat: EdgeDegreeMatrix, sink) -> None:
     """Rows ``d1<TAB>d2<TAB>x``: the matrix's cells, plain edge counts."""
-    _write(sink, XCELLS_HEADER, _slices((mat.d1, mat.d2, mat.x), _ROW_BLOCK))
+    _write_bytes(sink, _lines(XCELLS_HEADER,
+                              _slices((mat.d1, mat.d2, mat.x), _ROW_BLOCK)))
 
 
 # ---------------------------------------------------------------------------

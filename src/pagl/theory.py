@@ -35,22 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from ._limits import MAX_CHAIN, MAX_SHAPE_PAIRS
 from .graphs import count_multiplicities
 
-__all__ = [
-    "TheoryParams",
-    "log_gamma",
-    "log_beta",
-    "expected_degree_count",
-    "expected_edge_count",
-    "MultiplicityScalingReport",
-    "multiplicity_scaling_report",
-    "ShapeCheckReport",
-    "tail_ratio",
-    "edge_model_shape_check",
-    "MAX_SHAPE_PAIRS",
-]
+__all__ = list(_EXPORTS["theory"])
 
 
 @dataclass(frozen=True)

@@ -905,6 +905,17 @@ class TestPackageRoot:
         assert pagl.__all__ == [n for ns in pagl._EXPORTS.values() for n in ns]
         assert pagl.DivergenceError is pagl.fitting.DivergenceError
 
+    def test_every_public_definition_is_listed(self):
+        # read from the source, so a public function or class that
+        # _EXPORTS forgets fails here
+        src = Path(pagl.__file__).parent
+        for module, names in pagl._EXPORTS.items():
+            tree = ast.parse((src / f"{module}.py").read_text())
+            defined = {node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_")}
+            assert defined - set(names) == set(), module
+
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             pagl.no_such_name
