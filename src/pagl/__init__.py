@@ -21,8 +21,8 @@ _EXPORTS = {
     "graphs": (
         "Graph", "SimpleGraph", "MultiplicityReport", "load_edge_list",
         "save_edge_list", "edge_list_bytes", "load_binary", "save_binary",
-        "simplify", "count_multiplicities", "GraphFormatError",
-        "GraphValidationError",
+        "binary_bytes", "simplify", "count_multiplicities",
+        "GraphFormatError", "GraphValidationError",
     ),
     "buckley_osthus": (
         "BOParams", "generate_bo_chain", "generate_bo", "merge_blocks",

@@ -20,7 +20,7 @@ from .graphs import Graph
 
 __all__ = list(_EXPORTS["baselines"])
 
-_HK_BLOCK = 1 << 16
+_HK_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -213,5 +213,8 @@ def generate_holme_kim(params: HKParams) -> Graph:
             pending.append(u)
         for u in pending:
             link(v, u)
+    # free the neighbour lists and the rest of the uniform block before
+    # the edge array is built
+    del link, nbrs, draw
     edges = np.frombuffer(ep, dtype=np.int32).reshape(-1, 2).astype(np.int64)
     return Graph(n, edges)

@@ -34,8 +34,8 @@ from . import __version__
 from ._format import format_rows
 from ._limits import _MAX_WINDOW, _MIN_WINDOW, MAX_SHAPE_PAIRS, \
     DivergenceError
-from .graphs import Graph, edge_list_bytes, load_binary, load_edge_list, \
-    save_binary, simplify
+from .graphs import Graph, binary_bytes, edge_list_bytes, load_binary, \
+    load_edge_list, simplify
 
 
 def __getattr__(name):
@@ -57,12 +57,8 @@ def _graph_format(path: str, override: str | None) -> str:
     return "binary" if path.endswith((".bin", ".pagl")) else "text"
 
 
-def _graph_payload(g: Graph, fmt: str) -> bytes:
-    if fmt == "binary":
-        buf = io.BytesIO()
-        save_binary(g, buf)
-        return buf.getvalue()
-    return edge_list_bytes(g)
+def _graph_payload(g: Graph, fmt: str) -> bytes | bytearray:
+    return binary_bytes(g) if fmt == "binary" else edge_list_bytes(g)
 
 
 def _text(writer, *args) -> bytes:

@@ -16,7 +16,10 @@ Two on-disk formats are supported:
   time; only a file that fails the array checks is scanned line by line,
   to name its first bad line;
 * binary: magic ``PAGL``, version byte 1, then little-endian u64 vertex
-  count, u64 edge count, and (u, v) u64 pairs.
+  count, u64 edge count, and (u, v) u64 pairs.  The writer builds the
+  file in one buffer (:func:`binary_bytes`); the reader rejects a file
+  whose length is not 21 + 16 bytes per declared edge, and ids of 2**32
+  or more.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = list(_EXPORTS["graphs"])
 
 BINARY_MAGIC = b"PAGL"
 BINARY_VERSION = 1
+_BINARY_HEADER = 21  # magic, version, u64 vertex count, u64 edge count
 
 # vertex ids are packed two to a 64-bit key, so they must fit in 32 bits
 MAX_VERTICES = 1 << 32
@@ -405,31 +409,49 @@ def save_edge_list(g: Graph, sink) -> None:
 
 
 def load_binary(source) -> Graph:
-    """Read the binary edge-list format (magic ``PAGL``, version 1)."""
+    """Read the binary edge-list format (magic ``PAGL``, version 1).
+
+    A file whose length is not the header's 21 bytes plus 16 per edge it
+    declares, or that holds an id of 2**32 or more, raises
+    :class:`GraphFormatError`.
+    """
     with _open_stream(source, "rb") as stream:
         data = stream.read()
-    if len(data) < 21 or data[:4] != BINARY_MAGIC:
+    if len(data) < _BINARY_HEADER or data[:4] != BINARY_MAGIC:
         raise GraphFormatError("not a PAGL binary edge list (bad magic)")
     if data[4] != BINARY_VERSION:
         raise GraphFormatError(f"unsupported binary version {data[4]}")
     header = np.frombuffer(data, dtype="<u8", count=2, offset=5)
     n, num_edges = int(header[0]), int(header[1])
-    need = 21 + 16 * num_edges
-    if len(data) < need:
-        raise GraphFormatError(
-            f"truncated file: expected {need} bytes, got {len(data)}"
-        )
-    flat = np.frombuffer(data, dtype="<u8", count=2 * num_edges, offset=21)
-    edges = flat.astype(np.int64).reshape(-1, 2)
-    return Graph(n, edges)
+    need = _BINARY_HEADER + 16 * num_edges
+    if len(data) != need:
+        what = "truncated file" if len(data) < need else "trailing bytes"
+        raise GraphFormatError(f"{what}: expected {need} bytes, got {len(data)}")
+    flat = np.frombuffer(data, dtype="<u8", offset=_BINARY_HEADER)
+    # checked as u64: cast to int64 first, an id of 2**63 or more reads
+    # as a negative one
+    top = int(flat.max()) if flat.size else 0
+    if top >= MAX_VERTICES:
+        raise GraphFormatError(f"vertex id {top} exceeds the 32-bit id limit")
+    return Graph(n, flat.astype(np.int64).reshape(-1, 2))
+
+
+def binary_bytes(g: Graph) -> bytearray:
+    """The binary form of ``g``, built in one buffer: the ids are cast
+    into it through a little-endian u64 view, with no other copy."""
+    buf = bytearray(_BINARY_HEADER + 16 * g.num_edges)
+    buf[:4] = BINARY_MAGIC
+    buf[4] = BINARY_VERSION
+    words = np.frombuffer(buf, dtype="<u8", offset=5)
+    words[:2] = g.n, g.num_edges
+    words[2:] = g.edges.reshape(-1)
+    return buf
 
 
 def save_binary(g: Graph, sink) -> None:
+    """Write ``g`` in the binary format to a path or byte stream."""
     with _open_stream(sink, "wb") as stream:
-        stream.write(BINARY_MAGIC)
-        stream.write(bytes([BINARY_VERSION]))
-        stream.write(np.array([g.n, g.num_edges], dtype="<u8").tobytes())
-        stream.write(g.edges.astype("<u8").tobytes())
+        stream.write(binary_bytes(g))
 
 
 # ---------------------------------------------------------------------------

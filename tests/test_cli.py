@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import pagl
 from pagl.cli import main
 from pagl.fitting import _PowerLaw
-from pagl.graphs import load_binary, load_edge_list
+from pagl.graphs import Graph, binary_bytes, load_binary, load_edge_list
 from pagl.stats import DegreeHistogram, EdgeDegreeMatrix, degree_grid, \
     rho_surface
 from pagl.tables import write_degrees_tsv, write_edges_tsv
@@ -491,6 +491,20 @@ class TestExitCodesAndEnv:
         assert run("fit", "--degrees", bad, "--edges", bad,
                    "--d1-lo", 3, "--d1-hi", 100,
                    "--out-prefix", tmp_path / "Z") == 2
+
+    @pytest.mark.parametrize("cut, tail, message", [
+        (0, bytes(16), "trailing bytes: expected 53 bytes, got 69"),
+        (8, (2**63).to_bytes(8, "little"),
+         f"vertex id {2**63} exceeds the 32-bit id limit"),
+    ], ids=["trailing-bytes", "id-2**63"])
+    def test_bad_binary_graph_is_2(self, tmp_path, capsys, cut, tail, message):
+        # the last ``cut`` bytes of a valid file replaced by ``tail``
+        raw = binary_bytes(Graph(3, [(0, 1), (1, 2)]))
+        g = tmp_path / "g.bin"
+        g.write_bytes(raw[:len(raw) - cut] + tail)
+        assert run("analyze", "--graph", g, "--out-prefix", tmp_path / "A") == 2
+        assert capsys.readouterr().err == f"pagl: {message}\n"
+        assert list(tmp_path.iterdir()) == [g]
 
     @settings(max_examples=60, deadline=None)
     # a tail that a fit matches only with ln b above the float range

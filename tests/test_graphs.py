@@ -21,6 +21,7 @@ from pagl.graphs import (
     GraphValidationError,
     MultiplicityReport,
     _distinct_pairs,
+    binary_bytes,
     count_multiplicities,
     edge_list_bytes,
     load_binary,
@@ -245,6 +246,33 @@ class TestSerialize:
         save_binary(Graph(3, [(0, 1), (1, 2)]), buf)
         with pytest.raises(GraphFormatError):
             load_binary(io.BytesIO(buf.getvalue()[:-5]))
+
+    def test_binary_trailing_bytes(self):
+        # a header that under-counts its edges, as in two files joined
+        raw = binary_bytes(Graph(3, [(0, 1), (1, 2)])) + bytes(16)
+        with pytest.raises(GraphFormatError,
+                           match="trailing bytes: expected 53 bytes, got 69"):
+            load_binary(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("big", [2**32, 2**63, 2**64 - 1])
+    def test_binary_id_beyond_32_bits(self, big):
+        raw = binary_bytes(Graph(3, [(0, 1), (1, 2)]))
+        raw[-8:] = big.to_bytes(8, "little")
+        with pytest.raises(GraphFormatError,
+                           match=f"vertex id {big} exceeds the 32-bit id limit"):
+            load_binary(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("n, edges", [
+        (0, []), (1, [(0, 0)]), (TOP_ID + 1, [(TOP_ID, 0), (5, TOP_ID)])])
+    def test_binary_bytes(self, n, edges):
+        g = Graph(n, edges)
+        # the layout written field by field
+        want = b"PAGL\x01" + np.array([n, len(edges)], "<u8").tobytes() \
+            + np.array(edges, "<u8").tobytes()
+        buf = io.BytesIO()
+        save_binary(g, buf)
+        assert binary_bytes(g) == buf.getvalue() == want
+        assert load_binary(io.BytesIO(want)) == g
 
 
 class TestSimplify:

@@ -1,26 +1,39 @@
-"""Memory bounds of the analyze and fit layers on a generated BO graph.
+"""Memory bounds of graph generation, graph files, and the analyze and
+fit layers.
 
 Each bound is the tracemalloc peak of one call as a multiple of the size
 of its file, of the arrays it returns (for the rho surface, its three
 packed columns; for simplify, one 8-byte key per kept edge), or (for the
 edge bootstrap) of one float64 per domain pair, with about 25% headroom
 over the peak measured when the bound was set (BO a = 0.5, m = 5,
-n = 60000, seed 0, numpy 2.4); the edges writer may hold the bytes it
-wrote and the surface's packed columns once more.
+n = 60000, seed 0, numpy 2.4, unless a test names its own input); the
+edges writer may hold the bytes it wrote and the surface's packed
+columns once more.
 Reading a file or a table whole, or building the whole of a table's text
 at once, takes several times more and fails the bound.
+
+One bound is on a whole process: the peak resident memory of a
+``pagl generate`` run over that of ``pagl --version``, each read by the
+child itself (:func:`process_peak`).
 """
 
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pagl
+from pagl.baselines import HKParams, generate_holme_kim
 from pagl.bootstrap import bootstrap_edges
 from pagl.buckley_osthus import BOParams, generate_bo
 from pagl.fitting import degree_range, pair_domain
-from pagl.graphs import load_edge_list, save_edge_list, simplify
+from pagl.graphs import load_edge_list, save_binary, save_edge_list, \
+    simplify
 from pagl.stats import edge_degree_matrix, graph_tables, rho_surface
 from pagl.tables import surface_from_tables, write_edges_tsv
 
@@ -51,6 +64,25 @@ def test_load_edge_list(bo):
     # the file's bytes and 16 bytes of ids per line: 3.3 x the file
     _, used = peak(load_edge_list, path)
     assert used < 4.2 * path.stat().st_size
+
+
+def test_save_binary(bo):
+    root = bo[0]
+    g = load_edge_list(root / "g.tsv")
+    path = root / "g.bin"
+    # the file's bytes, built once: 1.00 x the file; casting the ids to
+    # u64 and then to bytes before writing takes 2.00
+    _, used = peak(save_binary, g, path)
+    assert used < 1.3 * path.stat().st_size
+
+
+def test_generate_holme_kim():
+    # the endpoint list, the neighbour lists and a block of uniforms, then
+    # the endpoint list and the edges: 1.84 x the edges (16 bytes each);
+    # keeping the neighbour lists and a 2**16 block of uniforms while the
+    # edges are built takes 3.48
+    g, used = peak(generate_holme_kim, HKParams(n=16000, m=12, p_t=0.5, seed=0))
+    assert used < 2.3 * g.edges.nbytes
 
 
 def test_simplify(bo):
@@ -113,3 +145,49 @@ def test_bootstrap_edges(bo):
                      8, 0, 1)
     assert rep.diverged == 0
     assert used < 28 * 8 * len(domain)
+
+
+# runs the CLI on the arguments that follow ``-c``, then prints the
+# process's own peak resident set at exit
+_PEAK_WRAPPER = """\
+import atexit, runpy, sys
+
+def peak():
+    with open("/proc/self/status") as status:
+        print(next(line for line in status if line.startswith("VmHWM:")))
+
+atexit.register(peak)
+runpy.run_module("pagl.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def process_peak(cwd, *argv) -> int:
+    """The peak resident memory, in KiB, of ``pagl *argv`` run in a child.
+
+    The child reads ``VmHWM`` of its own address space, which starts
+    fresh at exec; ``ru_maxrss`` of a child can report a large parent's
+    peak instead, such as this test process's.
+    """
+    src = str(Path(pagl.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_WRAPPER, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=src), cwd=cwd, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    line = [x for x in proc.stdout.splitlines() if x.startswith("VmHWM:")][-1]
+    kib, unit = line.split()[1:]
+    assert unit == "kB"
+    return int(kib)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+def test_generate_hk_process_peak(tmp_path):
+    # over the interpreter with numpy and pagl loaded: 13.8 MiB (Linux,
+    # numpy 2.4); holding the edges as u64, as bytes and in a buffer's
+    # copy at once, and the neighbour lists and a 2**16 block of uniforms
+    # while the edges are built, took 17.7
+    base = process_peak(tmp_path, "--version")
+    used = process_peak(tmp_path, "generate", "--model", "hk", "--m", 12,
+                        "--pt", 0.5, "--n", 16000, "--out", "g.bin")
+    assert used - base < 16 * 1024
