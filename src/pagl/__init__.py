@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "graphs": (
         "Graph", "SimpleGraph", "MultiplicityReport", "load_edge_list",
-        "save_edge_list", "edge_list_bytes", "load_binary", "save_binary",
+        "save_edge_list", "edge_list_chunks", "load_binary", "save_binary",
         "binary_bytes", "simplify", "count_multiplicities",
         "GraphFormatError", "GraphValidationError",
     ),

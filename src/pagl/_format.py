@@ -11,8 +11,8 @@ rows at a time.
 import numpy as np
 
 # rows of a table or an edge list formatted or parsed per pass; keeps a
-# block's byte table in cache
-_ROW_BLOCK = 1 << 14
+# block's byte table in cache, under 1 MiB for the edges table
+_ROW_BLOCK = 1 << 12
 
 
 def _field(value) -> str:

@@ -6,6 +6,8 @@ import signal
 
 import numpy as np
 
+reaped = []  # (pid, wait status, rusage) of every worker this process reaped
+
 
 def map_seeds(one, seeds, threads):
     """``one(np.random.default_rng(s))`` for every seed, stacked in seed order.
@@ -53,8 +55,8 @@ def map_seeds(one, seeds, threads):
             # read straight into the output; any excess counts as well
             got = (pipe.readinto(memoryview(out[lo:hi]).cast("B"))
                    + len(pipe.read()))
-            pid = running.pop(0)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.append(os.wait4(running.pop(0), 0))
+            status = os.waitstatus_to_exitcode(reaped[-1][1])
             if status != 0 or got != item * (hi - lo):
                 raise ChildProcessError(
                     f"worker for iterations {lo}..{hi - 1} exited with "

@@ -152,11 +152,13 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
     cols, j = np.unique(j_idx, return_inverse=True)
     block = _TailBlock(keys % size // (k + 1), keys % (k + 1), rows, cols,
                        (i, j))
+    del flat, category, i_idx, j_idx, i, j
     cat_weight = keys // size
     tails = cumulative_degree(hist)
     rho, denom = _tail_rho(block.tails(cat_edges * cat_weight),
                            tails.at(domain.d1), tails.at(domain.d2))
     original = _fit_rho(rho, domain)
+    del rho
     if not original.converged:
         raise DivergenceError("edge fit on the original data did not converge")
 

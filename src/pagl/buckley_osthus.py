@@ -56,8 +56,8 @@ class BOParams:
             )
 
 
-def _resolve_block(targets, s0: int, r, q, a: float) -> None:
-    """Fill ``targets[s0:s0+len(r)]`` given the resolved ``targets[:s0]``.
+def _resolve_block(targets, s0: int, rq, a: float) -> None:
+    """Fill ``targets[s0:s0+len(rq)//2]`` given the resolved ``targets[:s0]``.
 
     Step s (0-based new vertex id) attaches to target i with probability
     (deg(i)+a-1)/((a+1)(s+1)-1) for existing i and a/((a+1)(s+1)-1) for
@@ -65,7 +65,7 @@ def _resolve_block(targets, s0: int, r, q, a: float) -> None:
     vertex) and an excess urn realized by ``targets[:s]`` itself, in which
     vertex v appears deg(v)-1 times.  One (r, q) pair is consumed per step:
     r picks the urn, q indexes into it; step 0 is the forced self-loop.
-    ``r`` and ``q`` are overwritten (they serve as scratch space).
+    ``rq`` (the r block, then the q block) is scratch, freed before jumping.
 
     A uniform draw is final at once.  An excess draw copies the target of
     an earlier step, so the block is a forest of backward pointers whose
@@ -75,11 +75,13 @@ def _resolve_block(targets, s0: int, r, q, a: float) -> None:
     doubles its length (Wyllie's pointer jumping), so a chain of depth h
     takes about log2(h) rounds.
     """
+    r, q = np.split(rq, 2)
     t = np.arange(s0 + 1.0, s0 + r.shape[0] + 1.0)  # t = s + 1
     mass = np.multiply(t, a + 1.0)
     mass -= 1.0
     mass *= r
     copy = mass >= np.multiply(t, a, out=r)
+    del mass
     if s0 == 0:
         copy[0] = False
     t -= copy  # urn size: s + 1 for a uniform draw, s for a copy
@@ -90,6 +92,7 @@ def _resolve_block(targets, s0: int, r, q, a: float) -> None:
     block[:] = q
     block ^= -copy.view(np.int8)  # p -> ~p on copies
     pending = copy.nonzero()[0]
+    del rq, r, q, t, copy
     while pending.shape[0]:
         held = targets[~block[pending]]
         block[pending] = held
@@ -109,12 +112,9 @@ def generate_bo_chain(a: float, n: int, seed) -> Graph:
         raise ValueError(f"attractiveness a must be a finite positive real, got {a!r}")
     rng = np.random.default_rng(seed)
     targets = np.empty(n, dtype=np.int32)
-    s0 = 0
-    while s0 < n:
-        length = min(_BLOCK, n - s0)
-        rq = rng.random(2 * length)  # the r block, then the q block
-        _resolve_block(targets, s0, rq[:length], rq[length:], float(a))
-        s0 += length
+    for s0 in range(0, n, _BLOCK):
+        _resolve_block(targets, s0, rng.random(2 * min(_BLOCK, n - s0)),
+                       float(a))
     edges = np.empty((n, 2), dtype=np.int64)
     edges[:, 0] = np.arange(n, dtype=np.int64)
     edges[:, 1] = targets
@@ -131,9 +131,9 @@ def merge_blocks(g: Graph, m: int) -> Graph:
 
 
 def generate_bo(params: BOParams) -> Graph:
-    """Chain of m*n steps merged in m-blocks: n vertices, m*n edges."""
-    chain = generate_bo_chain(params.a, params.m * params.n, params.seed)
-    return merge_blocks(chain, params.m)
+    """Chain of m*n steps merged in m-blocks, in place: n vertices, m*n edges."""
+    edges = generate_bo_chain(params.a, params.m * params.n, params.seed).edges
+    return Graph(params.n, np.floor_divide(edges, params.m, out=edges))
 
 
 def generate_bo_samples(params: BOParams, num_samples: int, threads: int = 1) -> list:

@@ -5,13 +5,14 @@ At its top this module loads only numpy and :mod:`pagl.graphs`; each
 subcommand imports the modules it runs, so a process loads only what its
 subcommand needs.
 
-Every command writes its data outputs plus a ``*.manifest.json`` recording
-the command line, seeds, parameters, inputs/outputs, tool version, and
-wall-clock time (from the parsed command line to the written outputs, so
-loading the subcommand's modules counts).  All data outputs are
-byte-deterministic for fixed seeds and inputs; the manifest is the only
-artifact carrying timing.  The ``--verify`` flag re-derives every data
-output and byte-compares it against what was written.
+Every command runs all its checks, then writes each data output into its
+file a block at a time, plus a ``*.manifest.json`` recording the command
+line, seeds, parameters, inputs/outputs, tool version, wall-clock time
+(from the parsed command line to the written outputs, so loading the
+subcommand's modules counts) and peak memory (``peak_rss_mib``).  Data
+outputs are byte-deterministic for fixed seeds and inputs; the manifest
+is the only artifact carrying timing.  The ``--verify`` flag re-derives
+every data output and compares it with the file as it goes.
 
 Exit codes: 0 success, 2 validation or format error, or a size this
 machine cannot hold, 3 fit divergence (all fits requested by the command
@@ -27,15 +28,16 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from ._format import format_rows
+from ._format import _lines, _slices
 from ._limits import _MAX_WINDOW, _MIN_WINDOW, MAX_SHAPE_PAIRS, \
     DivergenceError
-from .graphs import Graph, binary_bytes, edge_list_bytes, load_binary, \
-    load_edge_list, simplify
+from .graphs import load_binary, load_edge_list, save_binary, \
+    save_edge_list, simplify
 
 
 def __getattr__(name):
@@ -57,18 +59,26 @@ def _graph_format(path: str, override: str | None) -> str:
     return "binary" if path.endswith((".bin", ".pagl")) else "text"
 
 
-def _graph_payload(g: Graph, fmt: str) -> bytes | bytearray:
-    return binary_bytes(g) if fmt == "binary" else edge_list_bytes(g)
+# a payload writes one output into the open byte stream it is given
+def _table(header: str, *columns):
+    """A TSV table, written a block of rows at a time."""
+    return lambda stream: stream.writelines(_lines(header, _slices(columns)))
 
 
-def _text(writer, *args) -> bytes:
-    buf = io.BytesIO()
-    writer(*args, buf)
-    return buf.getvalue()
+def _json(obj):
+    data = (json.dumps(obj, indent=2) + "\n").encode()
+    return lambda stream: stream.write(data)
 
 
-def _json_payload(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
+def _peak_rss_mib() -> dict:
+    """In MiB: this process's ``VmHWM``, its workers' largest ``ru_maxrss``."""
+    status = "/proc/self/status"
+    with open(status if os.path.exists(status) else os.devnull) as lines:
+        own = next((int(line.split()[1]) / 1024 for line in lines
+                    if line.startswith("VmHWM:")), None)
+    reaped = getattr(sys.modules.get(f"{__package__}._workers"), "reaped", [])
+    top = max((usage.ru_maxrss for *_, usage in reaped), default=0)
+    return {"process_vmhwm": own, "workers_ru_maxrss": top / 1024 or None}
 
 
 def _manifest(args, argv, seeds, params, inputs, outputs, t0) -> dict:
@@ -81,6 +91,7 @@ def _manifest(args, argv, seeds, params, inputs, outputs, t0) -> dict:
         "outputs": sorted(str(p) for p in outputs),
         "threads": getattr(args, "threads", None),
         "wall_clock_s": round(time.perf_counter() - t0, 6),
+        "peak_rss_mib": _peak_rss_mib(),
     }
 
 
@@ -89,6 +100,7 @@ def _manifest(args, argv, seeds, params, inputs, outputs, t0) -> dict:
 
 def _build_generate(args):
     fmt = _graph_format(args.out, args.format)
+    save = save_binary if fmt == "binary" else save_edge_list
     payloads = {}
     if args.model == "bo":
         from .buckley_osthus import BOParams, generate_bo
@@ -96,7 +108,7 @@ def _build_generate(args):
         if args.a is None or args.m is None or args.n is None:
             raise ValueError("generate --model bo needs --a, --m and --n")
         params = BOParams(a=args.a, m=args.m, n=args.n, seed=args.seed)
-        payloads[args.out] = _graph_payload(generate_bo(params), fmt)
+        payloads[args.out] = partial(save, generate_bo(params))
         shown = {"a": args.a, "m": args.m, "n": args.n}
     elif args.model == "gds":
         from .baselines import GDSParams, generate_configuration, \
@@ -108,9 +120,9 @@ def _build_generate(args):
                            target_edges=args.target_edges, seed=args.seed)
         degrees = sample_power_law_degrees(params)
         g = generate_configuration(degrees, seed=params.seed + 1)
-        payloads[args.out] = _graph_payload(g, fmt)
-        payloads[args.out + ".degrees.tsv"] = format_rows(
-            "vertex\tdegree", np.arange(degrees.size), degrees).encode()
+        payloads[args.out] = partial(save, g)
+        payloads[args.out + ".degrees.tsv"] = _table(
+            "vertex\tdegree", np.arange(degrees.size), degrees)
         shown = {"gamma": args.gamma, "n": args.n,
                  "target_edges": args.target_edges}
     else:
@@ -119,7 +131,7 @@ def _build_generate(args):
         if args.m is None or args.n is None:
             raise ValueError("generate --model hk needs --m and --n")
         params = HKParams(n=args.n, m=args.m, p_t=args.pt, seed=args.seed)
-        payloads[args.out] = _graph_payload(generate_holme_kim(params), fmt)
+        payloads[args.out] = partial(save, generate_holme_kim(params))
         shown = {"m": args.m, "n": args.n, "p_t": args.pt}
     shown["model"] = args.model
     shown["format"] = fmt
@@ -139,10 +151,10 @@ def _build_analyze(args):
     t = graph_tables(simplify(load(args.graph)), args.alpha)
     p = args.out_prefix
     payloads = {
-        p + ".degrees.tsv": _text(write_degrees_tsv, t.hist),
-        p + ".edges.tsv": _text(write_edges_tsv, t.surface),
-        p + ".dnn.tsv": _text(write_dnn_tsv, t.profile),
-        p + ".xcells.tsv": _text(write_xcells_tsv, t.matrix),
+        p + ".degrees.tsv": partial(write_degrees_tsv, t.hist),
+        p + ".edges.tsv": partial(write_edges_tsv, t.surface),
+        p + ".dnn.tsv": partial(write_dnn_tsv, t.profile),
+        p + ".xcells.tsv": partial(write_xcells_tsv, t.matrix),
     }
     shown = {"alpha": args.alpha, "format": fmt}
     return payloads, {}, shown, [args.graph], None
@@ -162,15 +174,15 @@ def _fit_entry(fit) -> dict:
     }
 
 
-def _fit_tsv(degree_fit, edge_fit) -> bytes:
+def _fit_tsv(degree_fit, edge_fit):
     """One row per parameter; a fit that raised has NaNs and 0 iterations."""
     rows = [(name, value, fit.sigma2, fit.iterations,
              "true" if fit.converged else "false")
             for names, fit in ((("a1", "b1"), degree_fit),
                                (("a2", "b2"), edge_fit))
             for name, value in zip(names, (fit.a, fit.b))]
-    return format_rows("parameter\testimate\tsigma2\titerations\tconverged",
-                       *zip(*rows)).encode()
+    return _table("parameter\testimate\tsigma2\titerations\tconverged",
+                  *zip(*rows))
 
 
 def _window(args):
@@ -269,7 +281,7 @@ def _build_fit(args):
 
     p = args.out_prefix
     payloads = {
-        p + ".fit.json": _json_payload(report),
+        p + ".fit.json": _json(report),
         p + ".fit.tsv": _fit_tsv(sel.degree_fit, sel.edge_fit),
     }
     all_diverged = not (sel.degree_fit.converged or sel.edge_fit.converged)
@@ -287,7 +299,7 @@ def _build_bootstrap(args):
     rep, entry = _bootstrap(args, args.target, hist, grid, sel,
                             args.iterations, inputs)
 
-    table = format_rows(
+    table = _table(
         "iteration\testimate", [*range(rep.iterations), "sigma_s2"],
         [*rep.estimates.tolist(), float(rep.sigma_s2)])
     report = {
@@ -299,8 +311,8 @@ def _build_bootstrap(args):
     }
     p = args.out_prefix
     payloads = {
-        p + ".bootstrap.tsv": table.encode(),
-        p + ".bootstrap.json": _json_payload(report),
+        p + ".bootstrap.tsv": table,
+        p + ".bootstrap.json": _json(report),
     }
     shown = {"target": args.target, "iterations": args.iterations,
              "alpha": args.alpha, "ratio_cutoff": args.ratio_cutoff,
@@ -350,15 +362,15 @@ def _build_theory_expected(args):
     p = args.out_prefix
     if args.d:
         ds = _parse_int_list(args.d, "--d")
-        payloads[p + ".expected_degrees.tsv"] = format_rows(
+        payloads[p + ".expected_degrees.tsv"] = _table(
             "d\texpected", ds,
-            [float(expected_degree_count(params, d)) for d in ds]).encode()
+            [float(expected_degree_count(params, d)) for d in ds])
     if args.pairs:
         d1s, d2s = zip(*_parse_pairs(args.pairs))
-        payloads[p + ".expected_edges.tsv"] = format_rows(
+        payloads[p + ".expected_edges.tsv"] = _table(
             "d1\td2\texpected", d1s, d2s,
             [float(expected_edge_count(params, d1, d2))
-             for d1, d2 in zip(d1s, d2s)]).encode()
+             for d1, d2 in zip(d1s, d2s)])
     shown = {"a": args.a, "m": args.m, "n": args.n,
              "d": args.d, "pairs": args.pairs}
     return payloads, {}, shown, [], None
@@ -376,7 +388,7 @@ def _build_theory_rho_shape(args):
         "max_rel_deviation": float(report.max_rel_deviation),
         "pairs": [[int(d1), int(d2)] for d1, d2 in report.pairs],
     }
-    payloads = {args.out_prefix + ".rho_shape.json": _json_payload(payload)}
+    payloads = {args.out_prefix + ".rho_shape.json": _json(payload)}
     shown = {"a2": args.a2, "ratio_range": [args.ratio_min, args.ratio_max],
              "d2_range": [args.d2_min, args.d2_max],
              "grid_size": args.grid_size}
@@ -396,7 +408,7 @@ def _build_theory_multiplicity(args):
                "mean_multi": report.mean_multi,
                "loop_fractions": report.loop_fractions,
                "multi_fractions": report.multi_fractions}
-    table = format_rows(
+    table = _table(
         "n\tmean_loops\tmean_multi\tloop_fraction\tmulti_fraction",
         report.n_list, *columns.values())
     payload = {
@@ -408,8 +420,8 @@ def _build_theory_multiplicity(args):
     }
     p = args.out_prefix
     payloads = {
-        p + ".multiplicity.tsv": table.encode(),
-        p + ".multiplicity.json": _json_payload(payload),
+        p + ".multiplicity.tsv": table,
+        p + ".multiplicity.json": _json(payload),
     }
     shown = {"a": args.a, "m": args.m, "samples": args.samples,
              "n_list": n_list}
@@ -584,21 +596,25 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # driver
 
-def _write_payloads(payloads: dict) -> None:
-    for path, blob in payloads.items():
-        with open(path, "wb") as stream:
-            stream.write(blob)
+class _Compare(io.BufferedReader):
+    """A file read as it is written to: ``same`` holds while each chunk it
+    is given is what it reads."""
+    same = True
+
+    def write(self, chunk):
+        self.same = self.same and self.read(len(chunk)) == chunk
+        return len(chunk)
 
 
-def _verify_payloads(build, args, payloads: dict) -> None:
+def _verify_payloads(build, args, paths) -> None:
     rebuilt = build(args)[0]
-    if set(rebuilt) != set(payloads):
+    if rebuilt.keys() != paths.keys():
         raise ValueError("verify: output path set changed between derivations")
-    for path, blob in rebuilt.items():
-        with open(path, "rb") as stream:
-            on_disk = stream.read()
-        if on_disk != blob:
-            raise ValueError(f"verify: {path} is not byte-reproducible")
+    for path, write in rebuilt.items():
+        with _Compare(io.FileIO(path)) as sink:
+            write(sink)
+            if not sink.same or sink.read(1):  # differs, or goes on
+                raise ValueError(f"verify: {path} is not byte-reproducible")
 
 
 def main(argv=None) -> int:
@@ -610,14 +626,16 @@ def main(argv=None) -> int:
     try:
         build = args.func
         payloads, seeds, params, inputs, deferred = build(args)
-        _write_payloads(payloads)
+        for path, write in payloads.items():
+            with open(path, "wb") as stream:
+                write(stream)
+        payloads = dict.fromkeys(payloads)  # frees what they wrote from
         if args.verify:
             _verify_payloads(build, args, payloads)
         prefix = getattr(args, "out_prefix", None) or args.out
-        manifest = _manifest(args, argv, seeds, params, inputs,
-                             sorted(payloads), t0)
+        manifest = _manifest(args, argv, seeds, params, inputs, payloads, t0)
         with open(prefix + ".manifest.json", "wb") as stream:
-            stream.write(_json_payload(manifest))
+            _json(manifest)(stream)
     except DivergenceError as exc:
         print(f"pagl: fit divergence: {exc}", file=sys.stderr)
         return 3
@@ -637,10 +655,6 @@ def main(argv=None) -> int:
         print(f"pagl: fit divergence: {deferred}", file=sys.stderr)
         return 3
     return 0
-
-
-def entry() -> int:
-    return main()
 
 
 if __name__ == "__main__":

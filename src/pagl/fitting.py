@@ -273,10 +273,8 @@ class _PowerLaw:
 
     def __init__(self, u, c, k, raw):
         self.u, self.c, self.k, self.raw = u, c, k, raw
-        self._du = -0.5 * u  # d(residual)/da over the sqrt-model
 
-    def solve(self, y, a0, lnb0) -> GNResult:
-        sqrt_y = np.sqrt(y)
+    def solve(self, sqrt_y, a0, lnb0) -> GNResult:
         model, r = np.empty_like(sqrt_y), np.empty_like(sqrt_y)
         jac = np.empty((sqrt_y.size, 2))
 
@@ -291,7 +289,8 @@ class _PowerLaw:
             # th was evaluated last, so model holds its sqrt-model values;
             # they are finite, as the objective is, and |u| < 100 for
             # int64 degrees, so the Jacobian is finite too
-            np.multiply(self._du, model, out=jac[:, 0])
+            np.multiply(self.u, -0.5, out=jac[:, 0])  # d(residual)/da
+            jac[:, 0] *= model
             np.multiply(model, -0.5, out=jac[:, 1])
             return jac
 
@@ -300,7 +299,7 @@ class _PowerLaw:
     def fit(self, y, a0, lnb0) -> FitResult:
         """The fit from (a0, lnb0); raises ValueError when the fitted
         scale exp(ln b) is not a positive finite float (ln b overflows)."""
-        gn = self.solve(y, a0, lnb0)
+        gn = self.solve(np.sqrt(y), a0, lnb0)
         a, lnb = float(gn.theta[0]), float(gn.theta[1])
         try:
             b = math.exp(lnb)
@@ -309,17 +308,19 @@ class _PowerLaw:
         if not 0.0 < b < math.inf:
             raise ValueError(f"fitted scale exp({lnb!r}) is not a positive "
                              f"finite float")
+        dev = self.raw(a, b)
+        dev -= y
         return FitResult(
-            a=a, b=b,
-            sigma2=float(np.mean((y - self.raw(a, b)) ** 2)),
+            a=a, b=b, sigma2=float(np.mean(np.square(dev, out=dev))),
             iterations=gn.iterations, converged=gn.converged,
             objective=gn.objective, domain_size=int(y.size),
             trace=gn.trace,
         )
 
     def refit(self, y, start: FitResult) -> float:
-        """The exponent refitted to ``y`` from ``start``, NaN unless converged."""
-        gn = self.solve(y, start.a, math.log(start.b))
+        """The exponent refitted to ``y`` (overwritten) from ``start``,
+        NaN unless converged."""
+        gn = self.solve(np.sqrt(y, out=y), start.a, math.log(start.b))
         return float(gn.theta[0]) if gn.converged else math.nan
 
 
@@ -371,7 +372,7 @@ def _edge_law(domain: PairDomain) -> _PowerLaw:
     b2 = domain.d2.astype(np.float64)
     ln_sum = np.log(b1 + b2)
     return _PowerLaw(np.log(b1) + np.log(b2) - ln_sum, ln_sum, 0,
-                     lambda a, b: edge_model(a, b, b1, b2))
+                     lambda a, b: edge_model(a, b, domain.d1, domain.d2))
 
 
 def fit_edges(surface: RhoSurface, domain: PairDomain, *,
@@ -387,6 +388,7 @@ def fit_edges(surface: RhoSurface, domain: PairDomain, *,
     y = np.full(at.shape, np.nan)
     held = at < surface.rho.size
     y[held] = surface.rho[at[held]]
+    del at, held
     return _fit_rho(y, domain, initial=initial)
 
 

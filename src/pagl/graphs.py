@@ -13,13 +13,13 @@ Two on-disk formats are supported:
   separated by spaces or tabs; lines end at ``\n``, ``\r\n`` or ``\r``.
   The file is read whole, then checked and parsed one block of lines at
   a time into a single id array, and written one block of edges at a
-  time; only a file that fails the array checks is scanned line by line,
-  to name its first bad line;
+  time (:func:`edge_list_chunks`); only a file that fails the array
+  checks is scanned line by line, to name its first bad line;
 * binary: magic ``PAGL``, version byte 1, then little-endian u64 vertex
   count, u64 edge count, and (u, v) u64 pairs.  The writer builds the
-  file in one buffer (:func:`binary_bytes`); the reader rejects a file
-  whose length is not 21 + 16 bytes per declared edge, and ids of 2**32
-  or more.
+  file in one buffer (:func:`binary_bytes`); the reader reads the ids
+  into one array, and rejects a file whose length is not 21 + 16 bytes
+  per declared edge, and ids of 2**32 or more.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _EXPORTS
-from ._format import _ROW_BLOCK, format_block
+from ._format import _ROW_BLOCK, _slices, format_block
 
 __all__ = list(_EXPORTS["graphs"])
 
@@ -382,14 +382,11 @@ def load_edge_list(source) -> Graph:
     return Graph(declared_n, edges)
 
 
-def edge_list_bytes(g: Graph) -> bytes:
-    """The text form of ``g``: an ``#n`` header then one ``u v`` line per edge."""
-    edges = g.edges
-    parts = [f"#n {g.n}\n".encode()]
-    for lo in range(0, edges.shape[0], _ROW_BLOCK):
-        block = edges[lo:lo + _ROW_BLOCK]
-        parts.append(format_block((block[:, 0], block[:, 1]), b" "))
-    return b"".join(parts)
+def edge_list_chunks(g: Graph):
+    """``g`` as text, a block at a time: an ``#n`` header, then ``u v`` lines."""
+    yield f"#n {g.n}\n".encode()
+    for block in _slices((g.edges[:, 0], g.edges[:, 1]), _ROW_BLOCK):
+        yield format_block(block, b" ")
 
 
 def _write_bytes(sink, chunks) -> None:
@@ -405,7 +402,7 @@ def _write_bytes(sink, chunks) -> None:
 
 def save_edge_list(g: Graph, sink) -> None:
     """Write ``g`` as text: an ``#n`` header then one edge per line."""
-    _write_bytes(sink, [edge_list_bytes(g)])
+    _write_bytes(sink, edge_list_chunks(g))
 
 
 def load_binary(source) -> Graph:
@@ -413,27 +410,27 @@ def load_binary(source) -> Graph:
 
     A file whose length is not the header's 21 bytes plus 16 per edge it
     declares, or that holds an id of 2**32 or more, raises
-    :class:`GraphFormatError`.
+    :class:`GraphFormatError`.  The ids are read into the graph's array.
     """
     with _open_stream(source, "rb") as stream:
-        data = stream.read()
-    if len(data) < _BINARY_HEADER or data[:4] != BINARY_MAGIC:
-        raise GraphFormatError("not a PAGL binary edge list (bad magic)")
-    if data[4] != BINARY_VERSION:
-        raise GraphFormatError(f"unsupported binary version {data[4]}")
-    header = np.frombuffer(data, dtype="<u8", count=2, offset=5)
-    n, num_edges = int(header[0]), int(header[1])
+        head = stream.read(_BINARY_HEADER)
+        if len(head) < _BINARY_HEADER or head[:4] != BINARY_MAGIC:
+            raise GraphFormatError("not a PAGL binary edge list (bad magic)")
+        if head[4] != BINARY_VERSION:
+            raise GraphFormatError(f"unsupported binary version {head[4]}")
+        n, num_edges = map(int, np.frombuffer(head, "<u8", 2, 5))
+        ids = np.empty(2 * num_edges, "<i8")
+        size = _BINARY_HEADER + stream.readinto(ids) + len(stream.read())
     need = _BINARY_HEADER + 16 * num_edges
-    if len(data) != need:
-        what = "truncated file" if len(data) < need else "trailing bytes"
-        raise GraphFormatError(f"{what}: expected {need} bytes, got {len(data)}")
-    flat = np.frombuffer(data, dtype="<u8", offset=_BINARY_HEADER)
-    # checked as u64: cast to int64 first, an id of 2**63 or more reads
-    # as a negative one
-    top = int(flat.max()) if flat.size else 0
+    if size != need:
+        what = "truncated file" if size < need else "trailing bytes"
+        raise GraphFormatError(f"{what}: expected {need} bytes, got {size}")
+    ids = ids.astype(np.int64, copy=False)  # a copy on a big-endian host only
+    # checked as u64: as int64, an id of 2**63 or more reads as a negative one
+    top = int(ids.view(np.uint64).max()) if ids.size else 0
     if top >= MAX_VERTICES:
         raise GraphFormatError(f"vertex id {top} exceeds the 32-bit id limit")
-    return Graph(n, flat.astype(np.int64).reshape(-1, 2))
+    return Graph(n, ids.reshape(-1, 2))
 
 
 def binary_bytes(g: Graph) -> bytearray:

@@ -331,9 +331,10 @@ def graph_tables(s: SimpleGraph, alpha: float) -> GraphTables:
 
     Takes the simple graph, not the multigraph, so that in
     ``graph_tables(simplify(load(path)), alpha)`` the multigraph is freed
-    as soon as ``simplify`` returns.
+    when ``simplify`` returns, and the simple graph after the matrix.
     """
     hist = degree_histogram(s)
     matrix = edge_degree_matrix(s)
+    del s
     surface = rho_surface(hist, matrix, degree_grid(hist, alpha))
     return GraphTables(hist, matrix, surface, d_nn_profile(matrix))

@@ -84,7 +84,7 @@ class TestChain:
         r, q = rng.random(n), rng.random(n)
         expected = chain_targets(r, q, 0.4)
         targets = np.empty(n, dtype=np.int32)
-        _resolve_block(targets, 0, r, q, 0.4)
+        _resolve_block(targets, 0, np.concatenate([r, q]), 0.4)
         assert targets.tolist() == expected
 
     def test_python_kernel_full_path(self):
@@ -131,7 +131,8 @@ class TestChain:
         bounds = sorted({0, n, *(int(c * n) for c in cuts)})
         targets = np.full(n, -7, dtype=np.int32)
         for lo, hi in zip(bounds, bounds[1:]):
-            _resolve_block(targets, lo, r[lo:hi], q[lo:hi], a)
+            rq = np.concatenate([r[lo:hi], q[lo:hi]])
+            _resolve_block(targets, lo, rq, a)
         assert targets.tolist() == expected
 
     def test_bad_args(self):
@@ -155,6 +156,14 @@ class TestMerge:
     def test_rejects_indivisible(self):
         with pytest.raises(ValueError):
             merge_blocks(Graph(3, [(0, 1)]), 2)
+
+    def test_generate_merges_its_chain(self):
+        # generate_bo merges in place; merge_blocks leaves its input as is
+        chain = generate_bo_chain(0.7, 1500, seed=5)
+        ids = chain.edges.copy()
+        merged = merge_blocks(chain, 3)
+        assert np.array_equal(chain.edges, ids)
+        assert generate_bo(BOParams(a=0.7, m=3, n=500, seed=5)) == merged
 
 
 class TestGenerate:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import io
 import json
 import os
 import resource
@@ -106,6 +107,56 @@ class TestGenerate:
         assert manifest["parameters"]["model"] == "bo"
         assert manifest["outputs"] == [str(out)]
         assert manifest["wall_clock_s"] >= 0
+
+    @pytest.mark.parametrize("change", [
+        lambda data: data[:-2] + b"9\n",
+        lambda data: data[:-1],
+        lambda data: data + b"0 0\n",
+    ], ids=["a-byte-differs", "shorter", "longer"])
+    def test_verify_compares_the_rederivation(self, tmp_path, monkeypatch,
+                                              capsys, change):
+        # the second derivation of the graph, the one --verify compares
+        # with the file, is changed
+        out = tmp_path / "g.tsv"
+        save, calls = pagl.cli.save_edge_list, []
+
+        def changed_on_second_call(g, stream):
+            buf = io.BytesIO()
+            save(g, buf)
+            calls.append(g)
+            data = buf.getvalue()
+            stream.write(change(data) if len(calls) == 2 else data)
+
+        monkeypatch.setattr(pagl.cli, "save_edge_list", changed_on_second_call)
+        assert run("generate", "--model", "bo", "--a", 0.5, "--m", 1,
+                   "--n", 60, "--seed", 4, "--out", out, "--verify") == 2
+        assert len(calls) == 2
+        assert capsys.readouterr().err == \
+            f"pagl: verify: {out} is not byte-reproducible\n"
+
+    def test_manifest_records_peak_memory(self, pipeline, tmp_path):
+        # each run in a fresh process: one that forks no worker, and one
+        # whose bootstrap forks one
+        runs = {"g.tsv": ["generate", "--model", "bo", "--a", 0.5, "--m", 1,
+                          "--n", 60, "--out", "g.tsv"],
+                "B": ["bootstrap", "--target", "degrees", "--degrees",
+                      pipeline / "A.degrees.tsv", "--d1-lo", 3, "--d1-hi",
+                      100, "--iterations", 4, "--threads", 2,
+                      "--out-prefix", "B"]}
+        for prefix, argv in runs.items():
+            subprocess.run([sys.executable, "-m", "pagl.cli", *map(str, argv)],
+                           env=child_env(), cwd=tmp_path, check=True,
+                           timeout=120)
+        peaks = {prefix: json.loads((tmp_path / f"{prefix}.manifest.json")
+                                    .read_text())["peak_rss_mib"]
+                 for prefix in runs}
+        assert peaks["g.tsv"]["workers_ru_maxrss"] is None
+        assert peaks["B"]["workers_ru_maxrss"] > 0
+        for peak in peaks.values():
+            if os.path.exists("/proc/self/status"):
+                assert peak["process_vmhwm"] > 0
+            else:
+                assert peak["process_vmhwm"] is None
 
     def test_missing_model_params(self, tmp_path):
         assert run("generate", "--model", "bo", "--m", 2, "--n", 10,
@@ -504,6 +555,16 @@ class TestExitCodesAndEnv:
         g.write_bytes(raw[:len(raw) - cut] + tail)
         assert run("analyze", "--graph", g, "--out-prefix", tmp_path / "A") == 2
         assert capsys.readouterr().err == f"pagl: {message}\n"
+        assert list(tmp_path.iterdir()) == [g]
+
+    def test_failed_checks_write_nothing(self, pipeline, tmp_path):
+        # every check runs before the first output is opened
+        g = tmp_path / "g.tsv"
+        g.write_text("#n 3\n0 1\n1 x\n")
+        assert run("analyze", "--graph", g, "--out-prefix", tmp_path / "A") == 2
+        assert run("fit", "--degrees", pipeline / "A.degrees.tsv",
+                   "--edges", pipeline / "A.edges.tsv", "--auto-range",
+                   "--d1-lo", 3, "--out-prefix", tmp_path / "F") == 2
         assert list(tmp_path.iterdir()) == [g]
 
     @settings(max_examples=60, deadline=None)

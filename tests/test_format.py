@@ -11,7 +11,7 @@ from hypothesis import Phase, given, settings, strategies as st
 import pagl.graphs
 from oracles import format_block_percent, format_ids_digits
 from pagl._format import format_block
-from pagl.graphs import Graph, edge_list_bytes
+from pagl.graphs import Graph, edge_list_chunks
 from pagl.tables import _ROW_BLOCK, format_rows
 
 TOP_ID = 2**32 - 1
@@ -138,17 +138,17 @@ class TestEdgeListAgainstDigitTable:
     def test_bytes(self, edges, block):
         g = Graph(1 + max((max(e) for e in edges), default=-1), edges)
         want = digits_oracle(g)
-        assert edge_list_bytes(g) == want
+        assert b"".join(edge_list_chunks(g)) == want
         with mock.patch.object(pagl.graphs, "_ROW_BLOCK", block):
-            assert edge_list_bytes(g) == want
+            assert b"".join(edge_list_chunks(g)) == want
 
     def test_rows_across_a_block(self):
         gen = np.random.default_rng(5)
-        for rows in ((1 << 14) - 1, 1 << 14, (1 << 14) + 1):
+        for rows in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1):
             edges = gen.integers(0, 10 ** gen.integers(1, 10, (rows, 2)))
             edges[-1] = TOP_ID, 0
             g = Graph(TOP_ID + 1, edges)
-            assert_same(edge_list_bytes(g), digits_oracle(g))
+            assert_same(b"".join(edge_list_chunks(g)), digits_oracle(g))
             buf = io.StringIO()
             pagl.graphs.save_edge_list(g, buf)
             assert_same(buf.getvalue().encode(), digits_oracle(g))

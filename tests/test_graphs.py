@@ -23,7 +23,7 @@ from pagl.graphs import (
     _distinct_pairs,
     binary_bytes,
     count_multiplicities,
-    edge_list_bytes,
+    edge_list_chunks,
     load_binary,
     load_edge_list,
     save_binary,
@@ -167,7 +167,7 @@ class TestParseBlocks:
 
     def test_written_graph(self):
         g = Graph(5000, np.random.default_rng(3).integers(0, 5000, (3000, 2)))
-        data = edge_list_bytes(g)
+        data = b"".join(edge_list_chunks(g))
         with mock.patch.object(pagl.graphs, "_PARSE_BLOCK", 5):
             assert load_edge_list(io.BytesIO(data)) == g
 
@@ -182,7 +182,7 @@ class TestWriterMatchesLineOracle:
     def test_bytes(self, g):
         want = io.StringIO()
         save_edge_list_lines(g, want)
-        assert edge_list_bytes(g) == want.getvalue().encode()
+        assert b"".join(edge_list_chunks(g)) == want.getvalue().encode()
         got = io.BytesIO()
         save_edge_list(g, got)
         assert got.getvalue() == want.getvalue().encode()
@@ -196,7 +196,7 @@ class TestWriterMatchesLineOracle:
         want = io.StringIO()
         save_edge_list_lines(g, want)
         with mock.patch.object(pagl.graphs, "_ROW_BLOCK", block):
-            assert edge_list_bytes(g) == want.getvalue().encode()
+            assert b"".join(edge_list_chunks(g)) == want.getvalue().encode()
 
 
 class TestSerialize:

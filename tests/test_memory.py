@@ -4,7 +4,7 @@ fit layers.
 Each bound is the tracemalloc peak of one call as a multiple of the size
 of its file, of the arrays it returns (for the rho surface, its three
 packed columns; for simplify, one 8-byte key per kept edge), or (for the
-edge bootstrap) of one float64 per domain pair, with about 25% headroom
+edge fit and bootstrap) of one float64 per domain pair, with about 25% headroom
 over the peak measured when the bound was set (BO a = 0.5, m = 5,
 n = 60000, seed 0, numpy 2.4, unless a test names its own input); the
 edges writer may hold the bytes it wrote and the surface's packed
@@ -12,9 +12,9 @@ columns once more.
 Reading a file or a table whole, or building the whole of a table's text
 at once, takes several times more and fails the bound.
 
-One bound is on a whole process: the peak resident memory of a
-``pagl generate`` run over that of ``pagl --version``, each read by the
-child itself (:func:`process_peak`).
+The other bounds are on whole processes: the peak resident memory of a
+``pagl`` stage over that of ``pagl --version``, each read by the child
+itself (:func:`process_peak`).
 """
 
 import io
@@ -31,9 +31,9 @@ import pagl
 from pagl.baselines import HKParams, generate_holme_kim
 from pagl.bootstrap import bootstrap_edges
 from pagl.buckley_osthus import BOParams, generate_bo
-from pagl.fitting import degree_range, pair_domain
-from pagl.graphs import load_edge_list, save_binary, save_edge_list, \
-    simplify
+from pagl.fitting import degree_range, fit_edges, pair_domain
+from pagl.graphs import load_binary, load_edge_list, save_binary, \
+    save_edge_list, simplify
 from pagl.stats import edge_degree_matrix, graph_tables, rho_surface
 from pagl.tables import surface_from_tables, write_edges_tsv
 
@@ -64,6 +64,28 @@ def test_load_edge_list(bo):
     # the file's bytes and 16 bytes of ids per line: 3.3 x the file
     _, used = peak(load_edge_list, path)
     assert used < 4.2 * path.stat().st_size
+
+
+def test_save_edge_list(bo):
+    root = bo[0]
+    g = load_edge_list(root / "g.tsv")
+    path = root / "h.tsv"
+    # one block of lines at a time: 0.07 x the file; joining the blocks
+    # into the whole text before writing takes 2.00
+    _, used = peak(save_edge_list, g, path)
+    assert used < 0.5 * path.stat().st_size
+    assert path.read_bytes() == (root / "g.tsv").read_bytes()
+
+
+def test_load_binary(bo):
+    root = bo[0]
+    path = root / "l.bin"
+    save_binary(load_edge_list(root / "g.tsv"), path)
+    # the ids read into the graph's array: 1.00 x the file; reading the
+    # file's bytes and then casting them to int64 takes 2.00
+    g, used = peak(load_binary, path)
+    assert used < 1.25 * path.stat().st_size
+    assert g == load_edge_list(root / "g.tsv")
 
 
 def test_save_binary(bo):
@@ -120,7 +142,7 @@ def test_rho_surface(bo):
 def test_write_edges_tsv(bo):
     surface = bo[2].surface
     buf = io.BytesIO()
-    # the bytes written and one block of rows, which takes 0.81 x the
+    # the bytes written and one block of rows, which takes 0.21 x the
     # packed columns; gathering a whole column of pairs takes more
     _, used = peak(write_edges_tsv, surface, buf)
     assert used < len(buf.getvalue()) + packed(surface)
@@ -128,23 +150,41 @@ def test_write_edges_tsv(bo):
 
 def test_surface_from_tables(bo):
     root, _, t = bo
-    # the three packed columns kept and one block of rows: 2.25 x the
+    # the three packed columns kept and one block of rows: 1.32 x the
     # columns; a K x K array of each takes twice the columns more
     back, used = peak(surface_from_tables, t.hist, root / "A.edges.tsv",
                       t.grid)
-    assert used < 2.8 * packed(back)
+    assert used < 1.7 * packed(back)
     assert back.rho.tobytes() == t.surface.rho.tobytes()
+
+
+def domain_of(t):
+    """The pair domain bo-text's fit selects: 54,922 pairs."""
+    return pair_domain(degree_range(t.grid, 9, 10_000), 10.0)
+
+
+def test_fit_edges(bo):
+    t = bo[2]
+    domain = domain_of(t)
+    # rho at the pairs, the covariates and np.polyfit's start: 11.1
+    # float64 per pair; keeping the degrees as floats for the scale model
+    # and the pair positions while the fit runs takes 15.3
+    fit, used = peak(fit_edges, t.surface, domain)
+    assert fit.converged
+    assert used < 14 * 8 * len(domain)
 
 
 def test_bootstrap_edges(bo):
     t = bo[2]
-    domain = pair_domain(degree_range(t.grid, 9, 10_000), 10.0)
+    domain = domain_of(t)
     # the tail block, the categories and the Gauss-Newton buffers over
-    # the domain, with the tails summed in place: 22.8 float64 per pair
+    # the domain, with the tails summed in place and the pair indices
+    # dropped before the original fit: 13.8 float64 per pair; keeping
+    # them, and the degrees as floats in each edge law, takes 21.3
     rep, used = peak(bootstrap_edges, t.hist, t.matrix, domain, t.grid,
                      8, 0, 1)
     assert rep.diverged == 0
-    assert used < 28 * 8 * len(domain)
+    assert used < 17.5 * 8 * len(domain)
 
 
 # runs the CLI on the arguments that follow ``-c``, then prints the
@@ -191,3 +231,38 @@ def test_generate_hk_process_peak(tmp_path):
     used = process_peak(tmp_path, "generate", "--model", "hk", "--m", 12,
                         "--pt", 0.5, "--n", 16000, "--out", "g.bin")
     assert used - base < 16 * 1024
+
+
+# a BO graph at n = 60000 through the stages of a text pipeline, with
+# each stage's budget in MiB over ``pagl --version``
+BO_STAGES = {
+    "generate": (("generate", "--model", "bo", "--a", 0.5, "--m", 5,
+                  "--n", 60_000, "--out", "g.tsv"), 18.5),
+    "analyze": (("analyze", "--graph", "g.tsv", "--out-prefix", "A"), 18),
+    "fit": (("fit", "--degrees", "A.degrees.tsv", "--edges", "A.edges.tsv",
+             "--xcells", "A.xcells.tsv", "--auto-range", "--bootstrap", 50,
+             "--threads", 1, "--out-prefix", "F"), 19.5),
+}
+
+
+@pytest.fixture(scope="module")
+def bo_stage_peaks(tmp_path_factory):
+    """KiB over ``pagl --version`` of each stage of :data:`BO_STAGES`,
+    run in order in one directory."""
+    root = tmp_path_factory.mktemp("stages")
+    base = process_peak(root, "--version")
+    return {name: process_peak(root, *argv) - base
+            for name, (argv, _) in BO_STAGES.items()}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("stage", list(BO_STAGES))
+def test_bo_stage_process_peak(bo_stage_peaks, stage):
+    # over the interpreter with numpy and pagl loaded (Linux, numpy 2.4):
+    # generate 16.0, analyze 14.6, fit 17.3 MiB.  Building each output
+    # whole before writing it, keeping the uniforms of the chain kernel
+    # through its pointer jumping, the simple graph through the rho
+    # surface, and the degrees as floats in each edge law took 20.8,
+    # 22.1 and 21.6
+    assert bo_stage_peaks[stage] < BO_STAGES[stage][1] * 1024
