@@ -48,7 +48,7 @@ _EXPORTS = {
         "TheoryParams", "log_gamma", "log_beta", "expected_degree_count",
         "expected_edge_count", "MultiplicityScalingReport",
         "multiplicity_scaling_report", "ShapeCheckReport", "tail_ratio",
-        "edge_model_shape_check", "MAX_SHAPE_PAIRS",
+        "edge_model_shape_check", "MAX_SHAPE_PAIRS", "MAX_SHAPE_D1",
     ),
     "fitting": (
         "FitResult", "GNResult", "DivergenceError", "DegreeRange",

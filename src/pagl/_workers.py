@@ -6,7 +6,7 @@ import signal
 
 import numpy as np
 
-reaped = []  # (pid, wait status, rusage) of every worker this process reaped
+peak_ru_maxrss = 0  # the largest ru_maxrss of the workers this process reaped
 
 
 def map_seeds(one, seeds, threads):
@@ -20,6 +20,7 @@ def map_seeds(one, seeds, threads):
     short data raises ChildProcessError.  Forking is safe: pagl starts no
     thread, and numpy's BLAS pool resets itself in a forked child.
     """
+    global peak_ru_maxrss
     if threads < 1:
         raise ValueError(f"need at least 1 thread, got threads={threads}")
     if not seeds:
@@ -55,8 +56,9 @@ def map_seeds(one, seeds, threads):
             # read straight into the output; any excess counts as well
             got = (pipe.readinto(memoryview(out[lo:hi]).cast("B"))
                    + len(pipe.read()))
-            reaped.append(os.wait4(running.pop(0), 0))
-            status = os.waitstatus_to_exitcode(reaped[-1][1])
+            _, status, usage = os.wait4(running.pop(0), 0)
+            peak_ru_maxrss = max(peak_ru_maxrss, usage.ru_maxrss)
+            status = os.waitstatus_to_exitcode(status)
             if status != 0 or got != item * (hi - lo):
                 raise ChildProcessError(
                     f"worker for iterations {lo}..{hi - 1} exited with "

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from ._format import _lines, _slices
-from ._limits import _MAX_WINDOW, _MIN_WINDOW, MAX_SHAPE_PAIRS, \
-    DivergenceError
+from ._limits import _MAX_WINDOW, _MIN_WINDOW, MAX_SEEDS, MAX_SHAPE_D1, \
+    MAX_SHAPE_PAIRS, MAX_THREADS, DivergenceError
 from .graphs import load_binary, load_edge_list, save_binary, \
     save_edge_list, simplify
 
@@ -76,8 +76,8 @@ def _peak_rss_mib() -> dict:
     with open(status if os.path.exists(status) else os.devnull) as lines:
         own = next((int(line.split()[1]) / 1024 for line in lines
                     if line.startswith("VmHWM:")), None)
-    reaped = getattr(sys.modules.get(f"{__package__}._workers"), "reaped", [])
-    top = max((usage.ru_maxrss for *_, usage in reaped), default=0)
+    workers = sys.modules.get(f"{__package__}._workers")
+    top = getattr(workers, "peak_ru_maxrss", 0)
     return {"process_vmhwm": own, "workers_ru_maxrss": top / 1024 or None}
 
 
@@ -324,16 +324,6 @@ def _build_bootstrap(args):
 # ---------------------------------------------------------------------------
 # theory
 
-def _parse_int_list(text: str, flag: str) -> list:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
-    if not values:
-        raise ValueError(f"{flag} is empty")
-    return values
-
-
 def _parse_pairs(text: str) -> list:
     pairs = []
     for part in text.split(","):
@@ -361,10 +351,9 @@ def _build_theory_expected(args):
     payloads = {}
     p = args.out_prefix
     if args.d:
-        ds = _parse_int_list(args.d, "--d")
         payloads[p + ".expected_degrees.tsv"] = _table(
-            "d\texpected", ds,
-            [float(expected_degree_count(params, d)) for d in ds])
+            "d\texpected", args.d,
+            [float(expected_degree_count(params, d)) for d in args.d])
     if args.pairs:
         d1s, d2s = zip(*_parse_pairs(args.pairs))
         payloads[p + ".expected_edges.tsv"] = _table(
@@ -398,11 +387,8 @@ def _build_theory_rho_shape(args):
 def _build_theory_multiplicity(args):
     from .theory import multiplicity_scaling_report
 
-    n_list = _parse_int_list(args.n_list, "--n-list")
-    if len(n_list) < 2:
-        raise ValueError("--n-list needs at least 2 sizes to fit a slope")
     report = multiplicity_scaling_report(
-        args.samples, n_list, args.a, args.m,
+        args.samples, args.n_list, args.a, args.m,
         seed=args.seed, threads=args.threads)
     columns = {"mean_loops": report.mean_loops,
                "mean_multi": report.mean_multi,
@@ -424,47 +410,50 @@ def _build_theory_multiplicity(args):
         p + ".multiplicity.json": _json(payload),
     }
     shown = {"a": args.a, "m": args.m, "samples": args.samples,
-             "n_list": n_list}
+             "n_list": args.n_list}
     return payloads, {"seed": args.seed}, shown, [], None
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
-    return int(text)
-
-
-def _grid_size(text: str) -> int:
-    """A grid size whose grid_size**2 pairs stay within MAX_SHAPE_PAIRS."""
-    size = _positive_int(text)
-    top = math.isqrt(MAX_SHAPE_PAIRS)
-    if size > top:
-        raise argparse.ArgumentTypeError(
-            f"need at most {top} (a {top} x {top} pair grid), got {text!r}")
-    return size
-
-
-def _float_where(ok, need: str):
-    """An argparse type: a float for which ``ok`` holds."""
-    def number(text: str) -> float:
-        if not ok(float(text)):
-            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
-        return float(text)
+def _number(cast, ok, need: str):
+    """An argparse type: text that ``cast`` parses to a value for which
+    ``ok`` holds; argparse names the flag in the message of any other."""
+    def number(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
     return number
 
 
-_ALPHA = _float_where(lambda a: 1.0 < a < math.inf, "a finite number > 1")
-_CUTOFF = _float_where(lambda r: 1.0 <= r < math.inf, "a finite number >= 1")
-_EXPONENT = _float_where(lambda a: 0.0 < a < math.inf, "a finite number > 0")
-_WINDOW = _float_where(lambda w: _MIN_WINDOW <= w <= _MAX_WINDOW,
-                       f"a log10 length from {_MIN_WINDOW} to {_MAX_WINDOW:.0f}")
+def _count(top: int):
+    return _number(int, lambda k: 1 <= k <= top, f"an integer from 1 to {top}")
+
+
+def _int_list(text: str) -> list:
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
+_ALPHA = _number(float, lambda a: 1.0 < a < math.inf, "a finite number > 1")
+_CUTOFF = _number(float, lambda r: 1.0 <= r < math.inf, "a finite number >= 1")
+_EXPONENT = _number(float, lambda a: 0.0 < a < math.inf, "a finite number > 0")
+_WINDOW = _number(float, lambda w: _MIN_WINDOW <= w <= _MAX_WINDOW,
+                  f"a log10 length from {_MIN_WINDOW} to {_MAX_WINDOW:.0f}")
+_SEED = _number(int, lambda s: s >= 0, "an integer >= 0")
+_GRID = math.isqrt(MAX_SHAPE_PAIRS)  # grid_size**2 pairs stay within it
+_DEGREES = _number(_int_list, bool, "comma-separated integers")
+_SIZES = _number(_int_list, lambda ns: len(ns) > 1,  # a slope needs two
+                 "2 or more comma-separated integers")
 
 
 def _add_common(sub, out_flag):
-    sub.add_argument("--threads", type=_positive_int,
+    sub.add_argument("--threads", type=_count(MAX_THREADS),
                      default=os.cpu_count() or 1,
                      help="worker processes for theory multiplicity and the "
                           "bootstraps (default: cores); data outputs do not "
@@ -510,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="gds: calibrate the degree cutoff to this edge count")
     gen.add_argument("--pt", type=float, default=0.5,
                      help="hk: triad-step probability")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_SEED, default=0)
     gen.add_argument("--format", choices=("text", "binary"), default=None,
                      help="default: binary for .bin/.pagl paths, else text")
     _add_common(gen, "out")
@@ -531,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--xcells", default=None,
                      help="analyze xcells TSV (edge bootstrap input)")
     _add_range_flags(fit)
-    fit.add_argument("--bootstrap", type=_positive_int, metavar="B",
+    fit.add_argument("--bootstrap", type=_count(MAX_SEEDS), metavar="B",
                      help="also estimate bootstrap errors with B iterations")
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=_SEED, default=0)
     _add_common(fit, "out_prefix")
     fit.set_defaults(func=_build_fit)
 
@@ -546,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     boot.add_argument("--xcells", default=None,
                       help="needed with --target edges")
     _add_range_flags(boot)
-    boot.add_argument("--iterations", type=_positive_int, default=1000)
-    boot.add_argument("--seed", type=int, default=0)
+    boot.add_argument("--iterations", type=_count(MAX_SEEDS), default=1000)
+    boot.add_argument("--seed", type=_SEED, default=0)
     _add_common(boot, "out_prefix")
     boot.set_defaults(func=_build_bootstrap)
 
@@ -559,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     texp.add_argument("--a", type=float, required=True)
     texp.add_argument("--m", type=int, required=True)
     texp.add_argument("--n", type=int, required=True)
-    texp.add_argument("--d", default=None,
+    texp.add_argument("--d", type=_DEGREES, default=None,
                       help="comma-separated degrees")
     texp.add_argument("--pairs", default=None,
                       help="comma-separated d1:d2 pairs")
@@ -571,11 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     tshape.add_argument("--a2", type=_EXPONENT, required=True)
     tshape.add_argument("--ratio-min", type=_CUTOFF, default=10.0)
     tshape.add_argument("--ratio-max", type=_CUTOFF, default=1000.0)
-    tshape.add_argument("--d2-min", type=_positive_int, default=10)
-    tshape.add_argument("--d2-max", type=_positive_int, default=100)
-    tshape.add_argument("--grid-size", type=_grid_size, default=5,
-                        help="d2 and ratio grid points (at most "
-                             f"{math.isqrt(MAX_SHAPE_PAIRS)})")
+    tshape.add_argument("--d2-min", type=_count(MAX_SHAPE_D1), default=10)
+    tshape.add_argument("--d2-max", type=_count(MAX_SHAPE_D1), default=100)
+    tshape.add_argument("--grid-size", type=_count(_GRID), default=5,
+                        help=f"d2 and ratio grid points (at most {_GRID})")
     _add_common(tshape, "out_prefix")
     tshape.set_defaults(func=_build_theory_rho_shape)
 
@@ -583,10 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="loop/multi-edge scaling report")
     tmult.add_argument("--a", type=float, required=True)
     tmult.add_argument("--m", type=int, required=True)
-    tmult.add_argument("--n-list", required=True,
+    tmult.add_argument("--n-list", type=_SIZES, required=True,
                        help="comma-separated sample sizes")
-    tmult.add_argument("--samples", type=_positive_int, default=20)
-    tmult.add_argument("--seed", type=int, default=0)
+    tmult.add_argument("--samples", type=_count(MAX_SEEDS), default=20)
+    tmult.add_argument("--seed", type=_SEED, default=0)
     _add_common(tmult, "out_prefix")
     tmult.set_defaults(func=_build_theory_multiplicity)
 

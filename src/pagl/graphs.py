@@ -27,6 +27,7 @@ from __future__ import annotations
 import io
 import os
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -165,22 +166,15 @@ def _open_stream(target, mode: str):
     """Yield a stream for ``target`` in ``mode`` (an ``open`` mode).
 
     A path is opened (ASCII in text modes) and closed on exit; an open
-    stream is flushed and left open.  Text modes wrap a byte stream, and
-    the wrapper is detached on exit so the byte stream stays usable.
+    stream is flushed and left open.
     """
-    binary = "b" in mode
     if isinstance(target, (str, os.PathLike)):
-        with open(target, mode, encoding=None if binary else "ascii") as stream:
+        encoding = None if "b" in mode else "ascii"
+        with open(target, mode, encoding=encoding) as stream:
             yield stream
-    elif binary or isinstance(target, io.TextIOBase):
+    else:
         yield target
         target.flush()
-    else:
-        wrapper = io.TextIOWrapper(target, encoding="ascii", write_through=True)
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()
 
 
 # a field is a run of digits with an optional leading sign; fields are
@@ -410,7 +404,8 @@ def load_binary(source) -> Graph:
 
     A file whose length is not the header's 21 bytes plus 16 per edge it
     declares, or that holds an id of 2**32 or more, raises
-    :class:`GraphFormatError`.  The ids are read into the graph's array.
+    :class:`GraphFormatError`; a regular file's length is checked before
+    the ids are allocated.  The ids are read into the graph's array.
     """
     with _open_stream(source, "rb") as stream:
         head = stream.read(_BINARY_HEADER)
@@ -419,9 +414,16 @@ def load_binary(source) -> Graph:
         if head[4] != BINARY_VERSION:
             raise GraphFormatError(f"unsupported binary version {head[4]}")
         n, num_edges = map(int, np.frombuffer(head, "<u8", 2, 5))
-        ids = np.empty(2 * num_edges, "<i8")
-        size = _BINARY_HEADER + stream.readinto(ids) + len(stream.read())
-    need = _BINARY_HEADER + 16 * num_edges
+        need = _BINARY_HEADER + 16 * num_edges
+        try:  # a regular file's length, counted from its header, is known
+            info = os.fstat(stream.fileno())
+            size = (info.st_size - stream.tell() + _BINARY_HEADER
+                    if stat.S_ISREG(info.st_mode) else None)
+        except (AttributeError, OSError):  # a stream with no file under it
+            size = None
+        if size in (None, need):  # a pipe is measured by reading it
+            ids = np.empty(2 * num_edges, "<i8")
+            size = _BINARY_HEADER + stream.readinto(ids) + len(stream.read())
     if size != need:
         what = "truncated file" if size < need else "trailing bytes"
         raise GraphFormatError(f"{what}: expected {need} bytes, got {size}")

@@ -179,16 +179,15 @@ def log_grid(alpha: float, d_max: int) -> LogGrid:
 class RhoSurface:
     """The edges table's columns over grid-point pairs d1 >= d2.
 
-    ``cum_deg[i]`` is the vertex tail count above ``grid.points[i]``,
-    positive on the first p grid points only.  ``X``, ``Xcum`` and ``rho``
-    hold the p(p+1)/2 pairs of those points packed row by row: entry
+    The vertex tail count above a grid point is positive on the first p
+    grid points only.  ``X``, ``Xcum`` and ``rho`` hold the p(p+1)/2
+    pairs of those points packed row by row: entry
     ``_packed(i, j)`` is the pair ``(points[i], points[j])``, i >= j.
     ``rho`` is Xcum over the two vertex tails; NaN marks a pair with no
     value, as a missing edges-table row would leave it.
     """
 
     grid: LogGrid
-    cum_deg: np.ndarray
     X: np.ndarray
     Xcum: np.ndarray
     rho: np.ndarray
@@ -269,7 +268,7 @@ def rho_surface(h: DegreeHistogram, x: EdgeDegreeMatrix, grid: LogGrid) -> RhoSu
     inside = on_grid.all(axis=0) & (i < p)
     X = np.zeros_like(Xcum)
     X[_packed(i[inside], j[inside])] = w[inside]
-    return RhoSurface(grid, cum_deg, X, Xcum, rho)
+    return RhoSurface(grid, X, Xcum, rho)
 
 
 # ---------------------------------------------------------------------------

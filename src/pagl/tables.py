@@ -263,8 +263,7 @@ def surface_from_tables(hist: DegreeHistogram, edges_path,
     if np.isnan(packed_rho).any():
         i, j = _unpacked(np.argmax(np.isnan(packed_rho)))
         raise ValueError(f"{name}: row ({points[i]}, {points[j]}) is missing")
-    return RhoSurface(grid=grid, cum_deg=cum_deg, X=X, Xcum=Xcum,
-                      rho=packed_rho)
+    return RhoSurface(grid=grid, X=X, Xcum=Xcum, rho=packed_rho)
 
 
 def load_dnn_tsv(source) -> NeighborDegreeProfile:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from ._limits import MAX_CHAIN, MAX_SHAPE_PAIRS
+from ._limits import MAX_CHAIN, MAX_SHAPE_D1, MAX_SHAPE_PAIRS
 from .graphs import count_multiplicities
 
 __all__ = list(_EXPORTS["theory"])
@@ -206,14 +206,8 @@ def multiplicity_scaling_report(samples_per_n, n_list, a, m, seed=0, threads=1):
     loops_slope = float(np.polyfit(ln_n, mean_loops, 1)[0])
     edges = np.asarray(n_list, dtype=np.float64) * m
     return MultiplicityScalingReport(
-        n_list=n_list,
-        mean_loops=mean_loops,
-        mean_multi=mean_multi,
-        multi_slope=multi_slope,
-        loops_slope=loops_slope,
-        loop_fractions=mean_loops / edges,
-        multi_fractions=mean_multi / edges,
-    )
+        n_list, mean_loops, mean_multi, multi_slope, loops_slope,
+        loop_fractions=mean_loops / edges, multi_fractions=mean_multi / edges)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +340,10 @@ def edge_model_shape_check(
     d1/d2 are allowed but lie outside the model's regime; expect large
     deviations there.  ``a2`` must be finite and positive, the ratio
     bounds finite and at least 1, the d2 bounds and ``grid_size`` at
-    least 1, and the pair set at most ``MAX_SHAPE_PAIRS`` long.  A pair
-    whose tail ratio or shape is not a positive finite float (the sums
-    under- or overflow for a large ``a2``) raises ValueError.
+    least 1, and the pair set at most ``MAX_SHAPE_PAIRS`` long with no
+    d1 above ``MAX_SHAPE_D1``.  A pair whose tail ratio or shape is not a
+    positive finite float (the sums under- or overflow for a large
+    ``a2``) raises ValueError.
     """
     if not 0.0 < a2 < math.inf:
         raise ValueError(f"a2 must be finite and > 0, got {a2!r}")
@@ -362,10 +357,16 @@ def edge_model_shape_check(
     if pairs is None:
         d2s = np.unique(np.geomspace(d2_range[0], d2_range[1], grid_size).round().astype(int))
         rats = np.geomspace(ratio_range[0], ratio_range[1], grid_size)
-        pairs = [(int(round(r * d2)), int(d2)) for d2 in d2s for r in rats]
+        # d1 stays a float until it is checked: r * d2 may overflow to inf
+        pairs = [(float(r) * d2, d2) for d2 in d2s.tolist() for r in rats]
     if len(pairs) > MAX_SHAPE_PAIRS:
         raise ValueError(f"{len(pairs)} pairs exceed the limit of "
                          f"{MAX_SHAPE_PAIRS}; use a smaller grid size")
+    d1, d2 = max(pairs, key=lambda pair: pair[0])
+    if not d1 <= MAX_SHAPE_D1:
+        raise ValueError(f"pair {d1:.0f}:{d2} has a d1 above the limit of "
+                         f"{MAX_SHAPE_D1}; use smaller ratio or d2 bounds")
+    pairs = [(round(d1), d2) for d1, d2 in pairs]
     ratios = np.array([tail_ratio(d1, d2, a2) for d1, d2 in pairs])
     d1s, d2s = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
     with np.errstate(all="ignore"):
@@ -378,11 +379,5 @@ def edge_model_shape_check(
     q = ratios / shape
     constant = 0.5 * (q.max() + q.min())
     max_dev = float(np.max(np.abs(q / constant - 1.0)))
-    return ShapeCheckReport(
-        a=a2,
-        pairs=list(pairs),
-        ratios=ratios,
-        shape=shape,
-        constant=float(constant),
-        max_rel_deviation=max_dev,
-    )
+    return ShapeCheckReport(a2, pairs, ratios, shape, float(constant),
+                            max_rel_deviation=max_dev)

@@ -226,7 +226,7 @@ def test_criterion_07_zero_residual_recovery():
         vals = degree_model(a_true, b_deg, pts)
         tails = TailCounts(dr.grid_points,
                            np.concatenate([[vals[0] * 10.0], vals]))
-        surf = RhoSurface(grid, np.ones(k, np.int64),
+        surf = RhoSurface(grid,
                           np.ones(i.size, np.int64), np.ones(i.size, np.int64),
                           edge_model(a_true, b_edge, gp[i], gp[j]))
         # default start plus a distant start, for both model families

@@ -2,6 +2,7 @@ import ast
 import importlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pagl
+from pagl._limits import MAX_SEEDS, MAX_SHAPE_D1, MAX_SHAPE_PAIRS, MAX_THREADS
 from pagl.cli import main
 from pagl.fitting import _PowerLaw
 from pagl.graphs import Graph, binary_bytes, load_binary, load_edge_list
@@ -547,7 +549,12 @@ class TestExitCodesAndEnv:
         (0, bytes(16), "trailing bytes: expected 53 bytes, got 69"),
         (8, (2**63).to_bytes(8, "little"),
          f"vertex id {2**63} exceeds the 32-bit id limit"),
-    ], ids=["trailing-bytes", "id-2**63"])
+        # a bare header whose edge count no memory holds
+        *[(40, edges.to_bytes(8, "little"),
+           f"truncated file: expected {21 + 16 * edges} bytes, got 21")
+          for edges in (2**59, 2**40)],
+    ], ids=["trailing-bytes", "id-2**63", "header-2**59-edges",
+            "header-2**40-edges"])
     def test_bad_binary_graph_is_2(self, tmp_path, capsys, cut, tail, message):
         # the last ``cut`` bytes of a valid file replaced by ``tail``
         raw = binary_bytes(Graph(3, [(0, 1), (1, 2)]))
@@ -774,6 +781,17 @@ def tables(root):
 
 MULTIPLICITY = ["theory", "multiplicity", "--a", 0.5, "--m", 2]
 RHO_SHAPE = ["theory", "rho-shape", "--a2", 0.5]
+# each count flag, its upper limit, and a command line it is added to
+COUNT_FLAGS = [
+    ("--iterations", MAX_SEEDS,
+     lambda r: ["bootstrap", "--target", "degrees", *tables(r)]),
+    ("--bootstrap", MAX_SEEDS, lambda r: ["fit", *tables(r)]),
+    ("--samples", MAX_SEEDS, lambda r: [*MULTIPLICITY, "--n-list", "200,400"]),
+    ("--d2-min", MAX_SHAPE_D1, lambda r: RHO_SHAPE),
+    ("--d2-max", MAX_SHAPE_D1, lambda r: RHO_SHAPE),
+    ("--grid-size", math.isqrt(MAX_SHAPE_PAIRS), lambda r: RHO_SHAPE),
+    ("--threads", MAX_THREADS, lambda r: ["analyze", "--graph", r / "g.tsv"]),
+]
 
 
 class TestCountsBelowOne:
@@ -814,6 +832,14 @@ class TestCountsBelowOne:
                        ("--grid-size", "0"), ("--grid-size", "100000"),
                        ("--d2-min", "0"), ("--d2-min", "-5"),
                        ("--d2-max", "0"))],
+        *[(lambda r, f=f, base=base, v=v: [*base(r), f, v], f)
+          for f, top, base in COUNT_FLAGS for v in (top + 1, 2**63, 10**20)],
+        *[(lambda r, base=base: [*base(r), "--seed", -1], "--seed")
+          for _, _, base in COUNT_FLAGS[:3]],
+        # d1 = ratio * d2 is far past the limit on the pairs it may take
+        (lambda r: [*RHO_SHAPE, "--ratio-min", "1e9", "--ratio-max", "1e9",
+                    "--d2-min", 1000, "--d2-max", 1000, "--grid-size", 1],
+         "pair 1000000000000:1000"),
     ], ids=["iterations-neg", "iterations-0", "bootstrap-neg", "bootstrap-0",
             "samples-neg", "samples-0", "one-size", "threads-0",
             "window-inf", "window-1e300", "window-nan", "window-0.5",
@@ -822,7 +848,11 @@ class TestCountsBelowOne:
             "a2-50", "a2-1e308",
             "ratio-min-nan", "ratio-min-inf", "ratio-max-inf",
             "ratio-min-0.5", "grid-size-0", "grid-size-100000", "d2-min-0",
-            "d2-min-neg", "d2-max-0"])
+            "d2-min-neg", "d2-max-0",
+            *[f"{f[2:]}-{v}" for f, *_ in COUNT_FLAGS
+              for v in ("limit+1", "2**63", "1e20")],
+            "seed-neg-bootstrap", "seed-neg-fit", "seed-neg-multiplicity",
+            "rho-shape-d1-limit"])
     def test_exit_2(self, pipeline, tmp_path, argv, flag):
         rc, err = run_limited(*argv(pipeline),
                               "--out-prefix", tmp_path / "Z")

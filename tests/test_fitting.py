@@ -40,8 +40,7 @@ def synthetic_tails(pts, a, b, noise=None):
 def packed_surface(grid, rho):
     """A surface over every pair of ``grid`` (all tails positive) holding
     ``rho``, packed row by row; X and Xcum are ones."""
-    return RhoSurface(grid, np.ones(len(grid), dtype=np.int64),
-                      np.ones(rho.size, dtype=np.int64),
+    return RhoSurface(grid, np.ones(rho.size, dtype=np.int64),
                       np.ones(rho.size, dtype=np.int64), rho)
 
 
@@ -340,8 +339,7 @@ class TestFitEdges:
         # packed surface, stops a row short of the domain's top pairs
         k = len(GRID)
         full = synthetic_surface(0.5, 3e-4)
-        surf = RhoSurface(GRID, np.append(np.ones(k - 1, np.int64), 0),
-                          full.X[:-k], full.Xcum[:-k], full.rho[:-k])
+        surf = RhoSurface(GRID, full.X[:-k], full.Xcum[:-k], full.rho[:-k])
         dom = pair_domain(degree_range(GRID, 10, 10_000), 10.0)
         with pytest.raises(ValueError, match="undefined"):
             fit_edges(surf, dom)
@@ -484,10 +482,8 @@ def skip_case(case):
         p = np.count_nonzero(pts <= 300)
         tails.suffix[p + 1:] = 0
         packed = p * (p + 1) // 2
-        surface = RhoSurface(grid, np.append(np.ones(p, np.int64),
-                                             np.zeros(k - p, np.int64)),
-                             surface.X[:packed], surface.Xcum[:packed],
-                             rho[:packed])
+        surface = RhoSurface(grid, surface.X[:packed],
+                             surface.Xcum[:packed], rho[:packed])
     if case == "zero rho":
         # no edge joins two vertices above degree 20
         surface.rho[pts[j] >= 20] = 0.0

@@ -170,8 +170,9 @@ class TestRhoSurface:
     def test_path_surface(self):
         s = path3()
         grid = log_grid(1.5, 2)  # points [1, 2]
-        surf = rho_surface(degree_histogram(s), edge_degree_matrix(s), grid)
-        assert surf.cum_deg.tolist() == [1, 0]
+        h = degree_histogram(s)
+        surf = rho_surface(h, edge_degree_matrix(s), grid)
+        assert cumulative_degree(h).at(grid.points).tolist() == [1, 0]
         # only grid point 1 has a positive tail, so the triangle holds the
         # one pair (1, 1); the edges (2, 1) sit past its last row
         assert surf.Xcum.tolist() == [0]
@@ -186,8 +187,8 @@ class TestRhoSurface:
         surf = rho_surface(h, x, grid)
         t = cumulative_edges(x)
         pts = grid.points
-        assert (surf.cum_deg == cumulative_degree(h).at(pts)).all()
-        p = int((surf.cum_deg > 0).sum())
+        tails = cumulative_degree(h).at(pts)
+        p = int((tails > 0).sum())
         i, j = np.tril_indices(p)
         assert surf.Xcum.dtype == np.int64
         assert (surf.Xcum == t.at(pts[i], pts[j])).all()
@@ -196,8 +197,7 @@ class TestRhoSurface:
             cells.get((d1, d2), 0) * (1 + (d1 == d2))
             for d1, d2 in zip(pts[i].tolist(), pts[j].tolist())]
         assert surf.rho.tobytes() == (
-            surf.Xcum / (surf.cum_deg[i].astype(np.float64)
-                         * surf.cum_deg[j])).tobytes()
+            surf.Xcum / (tails[i].astype(np.float64) * tails[j])).tobytes()
 
     def test_packing_inverts(self):
         for p in (0, 1, 2, 7, 600):
@@ -256,8 +256,7 @@ class TestGraphTables:
         for got, want, fields in (
                 (t.hist, hist, ("degrees", "counts")),
                 (t.matrix, matrix, ("d1", "d2", "x")),
-                (t.surface, surface,
-                 ("cum_deg", "X", "Xcum", "rho")),
+                (t.surface, surface, ("X", "Xcum", "rho")),
                 (t.profile, profile, ("d", "dnn")),
                 (t.tails, cumulative_degree(hist), ("degrees", "suffix"))):
             for field in fields:

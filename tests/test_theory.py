@@ -10,6 +10,7 @@ from oracles import assert_no_children
 from pagl.buckley_osthus import BOParams, generate_bo_samples
 from pagl.cli import main
 from pagl.theory import (
+    MAX_SHAPE_D1,
     MAX_SHAPE_PAIRS,
     TheoryParams,
     _hurwitz_zeta,
@@ -297,6 +298,19 @@ class TestShapeCheck:
         monkeypatch.setattr(pagl.theory, "tail_ratio", no_ratio)
         with pytest.raises(ValueError, match="exceed the limit"):
             edge_model_shape_check(0.5, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, pair", [
+        ({"ratio_range": (1e9, 1e9), "d2_range": (1000, 1000),
+          "grid_size": 1}, "1000000000000:1000"),
+        ({"ratio_range": (10.0, 1e308)}, "inf:10"),
+        ({"pairs": [(20, 2), (MAX_SHAPE_D1 + 1, 2)]}, f"{MAX_SHAPE_D1 + 1}:2"),
+    ], ids=["ratio-1e9", "ratio-1e308", "pairs"])
+    def test_rejects_d1_above_limit_before_any_ratio(self, kwargs, pair,
+                                                      monkeypatch, recwarn):
+        monkeypatch.setattr(pagl.theory, "tail_ratio", None)
+        with pytest.raises(ValueError, match=f"pair {pair} has a d1 above"):
+            edge_model_shape_check(0.5, **kwargs)
+        assert not recwarn.list
 
 
 class TestMultiplicityScaling:
