@@ -21,7 +21,7 @@ _EXPORTS = {
     "graphs": (
         "Graph", "SimpleGraph", "MultiplicityReport", "load_edge_list",
         "save_edge_list", "edge_list_chunks", "load_binary", "save_binary",
-        "binary_bytes", "simplify", "count_multiplicities",
+        "simplify", "count_multiplicities",
         "GraphFormatError", "GraphValidationError",
     ),
     "buckley_osthus": (
@@ -49,6 +49,7 @@ _EXPORTS = {
         "expected_edge_count", "MultiplicityScalingReport",
         "multiplicity_scaling_report", "ShapeCheckReport", "tail_ratio",
         "edge_model_shape_check", "MAX_SHAPE_PAIRS", "MAX_SHAPE_D1",
+        "MAX_SHAPE_TERMS",
     ),
     "fitting": (
         "FitResult", "GNResult", "DivergenceError", "DegreeRange",

@@ -33,6 +33,12 @@ MAX_SHAPE_PAIRS = 2500
 # d1 - d2 float terms, 0.16 s and 53 MiB at d1 = 10**6 (d2 = 10, a = 0.5)
 MAX_SHAPE_D1 = 10**6
 
+# the most float terms a shape check sums, d1 - d2 over its pairs: each
+# takes 0.14-0.16 us on 2 cores, so this many take about 4-5 s; the
+# default ranges at grid size 50 sum 2.1 * 10**7, and 100 pairs near
+# d1 = 10**6 (ratio and d2 both 990-1000) sum 9.9 * 10**7 in 14 s
+MAX_SHAPE_TERMS = 3 * 10**7
+
 # the most seeds a command spawns (bootstrap iterations, multiplicity
 # samples): spawning 10**5 takes 0.6 s and 36 MiB (45 MiB RSS) up front
 MAX_SEEDS = 10**5

@@ -161,60 +161,78 @@ def generate_holme_kim(params: HKParams) -> Graph:
     """Grow the triad-formation graph from a complete seed on m+1 vertices.
 
     Per new vertex v, m distinct targets are chosen: the first by a
-    degree-preferential draw (uniform index into the endpoint list ``ep``),
-    each later one with probability p_t by a triad step (a uniformly drawn
-    neighbour of the previous target not yet chosen, realized by rejection
-    with at most 64*m + 64 attempts) and otherwise preferentially.  A
-    candidate already chosen this round is redrawn; v itself cannot come
-    up, since its edges are committed only after all m targets are known.
+    degree-preferential draw (uniform index into the endpoints written so
+    far), each later one with probability p_t by a triad step (a uniformly
+    drawn neighbour of the previous target not yet chosen, realized by
+    rejection with at most 64*m + 64 attempts) and otherwise
+    preferentially.  A candidate already chosen this round is redrawn; v
+    itself cannot come up, since its edges are committed only after all m
+    targets are known.
 
     Every draw (triad coin, neighbour index, endpoint index) reads the next
     uniform of one seeded stream, taken in blocks of ``_HK_BLOCK``; numpy
     block draws concatenate to the same stream, so the graph does not
     depend on the block size.  An index int(x*d) needs no clip: for a
     double x < 1 and d <= 2**53 the rounded product stays below d.
-    Neighbours are listed in insertion order.  Output is simple by
-    construction, with exactly m*(n-m-1) + m*(m+1)/2 edges.
+
+    The edge count m*(n-m-1) + m*(m+1)/2 is known, so the graph's int64
+    id array is allocated first and each endpoint is written into it
+    once; the preferential draws read it.  Neighbours are indexed in
+    insertion order, but only the later ones are stored: a vertex's
+    first m neighbours are the other seed vertices for a seed vertex and
+    its own targets (its rows of the id array) for a later one, and an
+    ``array('i')`` of the vertices that chose it is made at the first
+    such vertex.  Output is simple by construction.
     """
     n, m, p_t = params.n, params.m, float(params.p_t)
     n0 = m + 1
+    seed_edges = m * n0 // 2
+    ids = np.empty(2 * (m * (n - n0) + seed_edges), np.int64)
     draw = _uniforms(np.random.default_rng(params.seed)).__next__
-    ep = array("i")
-    nbrs = [array("i") for _ in range(n)]
-
-    def link(v, u):
-        ep.append(v)
-        ep.append(u)
-        nbrs[v].append(u)
-        nbrs[u].append(v)
-
+    out = memoryview(ids)
+    later = [None] * n  # the neighbours each vertex gained after its first m
+    pos = 0
     for v in range(n0):
         for u in range(v + 1, n0):
-            link(v, u)
+            out[pos] = v
+            out[pos + 1] = u
+            pos += 2
     tries = 64 * m + 64
     for v in range(n0, n):
         pending = []
         for k in range(m):
             u = -1
             if k > 0 and draw() < p_t:
-                adj = nbrs[pending[-1]]
-                d = len(adj)
+                x = pending[-1]
+                tail = later[x]
+                d = m if tail is None else m + len(tail)
+                # x's own targets sit at the odd slots of its m rows
+                first = 2 * seed_edges + 2 * m * (x - n0) + 1
                 for _ in range(tries):
-                    w = adj[int(draw() * d)]
+                    j = int(draw() * d)
+                    if j >= m:
+                        w = tail[j - m]
+                    elif x >= n0:
+                        w = out[first + 2 * j]
+                    else:
+                        w = j if j < x else j + 1
                     if w not in pending:
                         u = w
                         break
             if u < 0:
-                e = len(ep)
                 while True:
-                    u = ep[int(draw() * e)]
+                    u = out[int(draw() * pos)]  # v's rows come after
                     if u not in pending:
                         break
             pending.append(u)
         for u in pending:
-            link(v, u)
-    # free the neighbour lists and the rest of the uniform block before
-    # the edge array is built
-    del link, nbrs, draw
-    edges = np.frombuffer(ep, dtype=np.int32).reshape(-1, 2).astype(np.int64)
-    return Graph(n, edges)
+            out[pos] = v
+            out[pos + 1] = u
+            pos += 2
+            tail = later[u]
+            if tail is None:
+                later[u] = array("i", (v,))
+            else:
+                tail.append(v)
+    out.release()
+    return Graph(n, ids.reshape(-1, 2))

@@ -16,10 +16,11 @@ Two on-disk formats are supported:
   time (:func:`edge_list_chunks`); only a file that fails the array
   checks is scanned line by line, to name its first bad line;
 * binary: magic ``PAGL``, version byte 1, then little-endian u64 vertex
-  count, u64 edge count, and (u, v) u64 pairs.  The writer builds the
-  file in one buffer (:func:`binary_bytes`); the reader reads the ids
-  into one array, and rejects a file whose length is not 21 + 16 bytes
-  per declared edge, and ids of 2**32 or more.
+  count, u64 edge count, and (u, v) u64 pairs.  The writer writes the
+  header and then the graph's own id array; the reader reads the ids
+  into one array that grows as they arrive, and rejects a file whose
+  length is not 21 + 16 bytes per declared edge, and ids of 2**32 or
+  more.
 """
 
 from __future__ import annotations
@@ -399,13 +400,59 @@ def save_edge_list(g: Graph, sink) -> None:
     _write_bytes(sink, edge_list_chunks(g))
 
 
+# ids per block of the binary reader and writer.  The reader starts its
+# array at this size and doubles it, up to the count the header declares,
+# so a header that lies about its edge count allocates no more than twice
+# what the stream holds.  The writer hands the sink one block at a time
+# because `generate --verify` reads back a buffer as large as each write,
+# and a big-endian host converts only one block at a time.
+_STREAM_IDS = 1 << 16
+
+
+def _regular_size(stream):
+    """The byte length of ``stream``'s regular file from its header on,
+    or None if it is not a regular file."""
+    try:
+        info = os.fstat(stream.fileno())
+    except (AttributeError, OSError):
+        return None  # a stream with no file under it
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    return info.st_size - stream.tell() + _BINARY_HEADER
+
+
+def _read_ids(stream, count: int):
+    """The next ``count`` little-endian ids of ``stream``, and the number
+    of bytes it held from here on: the ids are all there only if that is
+    ``8 * count``.  They are read into an array of ``_STREAM_IDS`` ids
+    that doubles, up to ``count``, whenever it fills before the stream
+    ends; the resize is in place, so the peak stays that of the ids."""
+    ids = np.empty(min(count, _STREAM_IDS), "<i8")
+    got = 0  # bytes read
+    while got < ids.nbytes or ids.size < count:
+        if got == ids.nbytes:
+            # in place: no view of ids outlives the readinto it was made for
+            ids.resize(min(count, 2 * ids.size), refcheck=False)
+        read = stream.readinto(ids.view(np.uint8)[got:])
+        if not read:
+            return ids, got
+        got += read
+    spare = bytearray(1 << 12)  # counts the bytes past the ids
+    while read := stream.readinto(spare):
+        got += read
+    return ids, got
+
+
 def load_binary(source) -> Graph:
     """Read the binary edge-list format (magic ``PAGL``, version 1).
 
     A file whose length is not the header's 21 bytes plus 16 per edge it
     declares, or that holds an id of 2**32 or more, raises
-    :class:`GraphFormatError`; a regular file's length is checked before
-    the ids are allocated.  The ids are read into the graph's array.
+    :class:`GraphFormatError`.  A regular file's length is checked before
+    anything is allocated.  The ids are read in blocks into the graph's
+    array, which doubles as they arrive, so a stream of unknown length
+    whose header declares more edges than it holds allocates at most
+    twice the stream's length (or one block).
     """
     with _open_stream(source, "rb") as stream:
         head = stream.read(_BINARY_HEADER)
@@ -415,15 +462,10 @@ def load_binary(source) -> Graph:
             raise GraphFormatError(f"unsupported binary version {head[4]}")
         n, num_edges = map(int, np.frombuffer(head, "<u8", 2, 5))
         need = _BINARY_HEADER + 16 * num_edges
-        try:  # a regular file's length, counted from its header, is known
-            info = os.fstat(stream.fileno())
-            size = (info.st_size - stream.tell() + _BINARY_HEADER
-                    if stat.S_ISREG(info.st_mode) else None)
-        except (AttributeError, OSError):  # a stream with no file under it
-            size = None
+        size = _regular_size(stream)
         if size in (None, need):  # a pipe is measured by reading it
-            ids = np.empty(2 * num_edges, "<i8")
-            size = _BINARY_HEADER + stream.readinto(ids) + len(stream.read())
+            ids, size = _read_ids(stream, 2 * num_edges)
+            size += _BINARY_HEADER
     if size != need:
         what = "truncated file" if size < need else "trailing bytes"
         raise GraphFormatError(f"{what}: expected {need} bytes, got {size}")
@@ -435,22 +477,17 @@ def load_binary(source) -> Graph:
     return Graph(n, ids.reshape(-1, 2))
 
 
-def binary_bytes(g: Graph) -> bytearray:
-    """The binary form of ``g``, built in one buffer: the ids are cast
-    into it through a little-endian u64 view, with no other copy."""
-    buf = bytearray(_BINARY_HEADER + 16 * g.num_edges)
-    buf[:4] = BINARY_MAGIC
-    buf[4] = BINARY_VERSION
-    words = np.frombuffer(buf, dtype="<u8", offset=5)
-    words[:2] = g.n, g.num_edges
-    words[2:] = g.edges.reshape(-1)
-    return buf
-
-
 def save_binary(g: Graph, sink) -> None:
-    """Write ``g`` in the binary format to a path or byte stream."""
+    """Write ``g`` in the binary format to a path or byte stream: the
+    header, then the graph's own id array, which is converted to
+    little-endian a block at a time only on a big-endian host."""
+    head = np.array([g.n, g.num_edges], "<u8").tobytes()
+    ids = g.edges.reshape(-1)
     with _open_stream(sink, "wb") as stream:
-        stream.write(binary_bytes(g))
+        stream.write(BINARY_MAGIC + bytes([BINARY_VERSION]) + head)
+        for lo in range(0, ids.size, _STREAM_IDS):
+            block = ids[lo:lo + _STREAM_IDS].astype("<i8", copy=False)
+            stream.write(memoryview(block).cast("B"))  # a sink sees bytes
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from ._limits import MAX_CHAIN, MAX_SHAPE_D1, MAX_SHAPE_PAIRS
+from ._limits import MAX_CHAIN, MAX_SHAPE_D1, MAX_SHAPE_PAIRS, MAX_SHAPE_TERMS
 from .graphs import count_multiplicities
 
 __all__ = list(_EXPORTS["theory"])
@@ -340,10 +340,11 @@ def edge_model_shape_check(
     d1/d2 are allowed but lie outside the model's regime; expect large
     deviations there.  ``a2`` must be finite and positive, the ratio
     bounds finite and at least 1, the d2 bounds and ``grid_size`` at
-    least 1, and the pair set at most ``MAX_SHAPE_PAIRS`` long with no
-    d1 above ``MAX_SHAPE_D1``.  A pair whose tail ratio or shape is not a
-    positive finite float (the sums under- or overflow for a large
-    ``a2``) raises ValueError.
+    least 1, and the pair set at most ``MAX_SHAPE_PAIRS`` long, with no
+    d1 above ``MAX_SHAPE_D1`` and at most ``MAX_SHAPE_TERMS`` terms
+    d1 - d2 in all, checked before the first tail ratio.  A pair whose
+    tail ratio or shape is not a positive finite float (the sums under-
+    or overflow for a large ``a2``) raises ValueError.
     """
     if not 0.0 < a2 < math.inf:
         raise ValueError(f"a2 must be finite and > 0, got {a2!r}")
@@ -367,6 +368,11 @@ def edge_model_shape_check(
         raise ValueError(f"pair {d1:.0f}:{d2} has a d1 above the limit of "
                          f"{MAX_SHAPE_D1}; use smaller ratio or d2 bounds")
     pairs = [(round(d1), d2) for d1, d2 in pairs]
+    terms = sum(max(d1 - d2, 0) for d1, d2 in pairs)
+    if terms > MAX_SHAPE_TERMS:
+        raise ValueError(f"the pairs' tail ratios sum {terms} terms (d1 - d2 "
+                         f"per pair), above the limit of {MAX_SHAPE_TERMS}; "
+                         f"use a smaller grid size or ratio or d2 bounds")
     ratios = np.array([tail_ratio(d1, d2, a2) for d1, d2 in pairs])
     d1s, d2s = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
     with np.errstate(all="ignore"):

@@ -6,7 +6,8 @@ a time, the Holme-Kim generator run one draw at a time, the ordered (both
 orientations) form of the edge-degree table with its row sums, and the
 strict two-sided edge tail evaluated cell by cell (over degrees, and over
 bin indices at grid pairs), the text edge-list reader, writer and
-simplification as per-line and lexsort code, and the row formatters the
+simplification as per-line and lexsort code, the binary edge list built
+in one buffer, and the row formatters the
 library used before its byte-table formatter: one ``%`` operation over
 all rows of a block, and a digit table of edge ids.  Dict views of the
 library's tables and graphs serve the small-case assertions, and
@@ -23,7 +24,8 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from pagl.graphs import Graph, GraphFormatError, GraphValidationError, SimpleGraph
+from pagl.graphs import BINARY_MAGIC, BINARY_VERSION, Graph, \
+    GraphFormatError, GraphValidationError, SimpleGraph
 
 
 @dataclass
@@ -282,6 +284,18 @@ def save_edge_list_lines(g: Graph, stream) -> None:
     for lo in range(0, edges.shape[0], 1 << 18):
         block = edges[lo:lo + (1 << 18)].tolist()
         stream.write("".join(f"{u} {v}\n" for u, v in block))
+
+
+def binary_bytes(g: Graph) -> bytearray:
+    """The binary form of ``g``, built in one buffer: the ids are cast
+    into it through a little-endian u64 view."""
+    buf = bytearray(21 + 16 * g.num_edges)
+    buf[:4] = BINARY_MAGIC
+    buf[4] = BINARY_VERSION
+    words = np.frombuffer(buf, dtype="<u8", offset=5)
+    words[:2] = g.n, g.num_edges
+    words[2:] = g.edges.reshape(-1)
+    return buf
 
 
 def _field(value) -> str:

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pagl
-from pagl._limits import MAX_SEEDS, MAX_SHAPE_D1, MAX_SHAPE_PAIRS, MAX_THREADS
+from oracles import binary_bytes
+from pagl._limits import MAX_SEEDS, MAX_SHAPE_D1, MAX_SHAPE_PAIRS, \
+    MAX_SHAPE_TERMS, MAX_THREADS
 from pagl.cli import main
 from pagl.fitting import _PowerLaw
-from pagl.graphs import Graph, binary_bytes, load_binary, load_edge_list
+from pagl.graphs import Graph, load_binary, load_edge_list
 from pagl.stats import DegreeHistogram, EdgeDegreeMatrix, degree_grid, \
     rho_surface
 from pagl.tables import write_degrees_tsv, write_edges_tsv
@@ -109,6 +112,15 @@ class TestGenerate:
         assert manifest["parameters"]["model"] == "bo"
         assert manifest["outputs"] == [str(out)]
         assert manifest["wall_clock_s"] >= 0
+
+    def test_verify_binary_output(self, tmp_path):
+        # the writer's blocks are compared with the file, and so must be bytes
+        args = ("generate", "--model", "hk", "--m", 3, "--n", 3000,
+                "--seed", 2, "--out")
+        assert run(*args, tmp_path / "g.bin", "--verify") == 0
+        assert run(*args, tmp_path / "h.bin") == 0
+        assert (tmp_path / "g.bin").read_bytes() \
+            == (tmp_path / "h.bin").read_bytes()
 
     @pytest.mark.parametrize("change", [
         lambda data: data[:-2] + b"9\n",
@@ -656,16 +668,17 @@ def child_env():
     return dict(os.environ, PYTHONPATH=src)
 
 
-def run_limited(*argv):
+def run_limited(*argv, stdin=b""):
     """Run the CLI in a child process whose address space is capped at
-    1 GiB, so an oversized allocation fails fast instead of paging."""
+    1 GiB, so an oversized allocation fails fast instead of paging.
+    ``stdin`` is written to the child through a pipe."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run([sys.executable, "-m", "pagl.cli", *map(str, argv)],
-                          env=child_env(), capture_output=True, text=True,
+                          env=child_env(), capture_output=True, input=stdin,
                           preexec_fn=cap, timeout=120)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stderr.decode()
 
 
 class TestBootstrapWorkers:
@@ -766,6 +779,43 @@ class TestOversizedInputs:
         assert "pagl: not enough memory: " in err
         assert not list(tmp_path.iterdir())
 
+    def test_hk_ids_beyond_memory(self, tmp_path):
+        # the 2 x 119999922 ids are allocated before the first draw, so
+        # the run fails at once: the kernel alone would take minutes
+        start = time.perf_counter()
+        rc, err = run_limited("generate", "--model", "hk", "--m", 12,
+                              "--n", 10_000_000, "--out", tmp_path / "g.bin")
+        assert time.perf_counter() - start < 30
+        assert rc == 2 and "Traceback" not in err
+        assert "pagl: not enough memory: " in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("edges", [2**40, 3])
+    def test_binary_header_beyond_pipe(self, tmp_path, edges):
+        # a pipe's length is unknown, so its ids are read as they arrive
+        raw = binary_bytes(Graph(3, [(0, 1), (1, 2)]))
+        raw[13:21] = edges.to_bytes(8, "little")
+        rc, err = run_limited("analyze", "--graph", "/dev/stdin", "--format",
+                              "binary", "--out-prefix", tmp_path / "A",
+                              stdin=bytes(raw))
+        assert rc == 2
+        assert err == (f"pagl: truncated file: expected {21 + 16 * edges} "
+                       f"bytes, got 53\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_binary_graph_from_pipe(self, tmp_path):
+        g = tmp_path / "g.bin"
+        assert run("generate", "--model", "hk", "--m", 3, "--n", 3000,
+                   "--seed", 1, "--out", g) == 0
+        assert run("analyze", "--graph", g, "--out-prefix", tmp_path / "F") == 0
+        rc, err = run_limited("analyze", "--graph", "/dev/stdin", "--format",
+                              "binary", "--out-prefix", tmp_path / "P",
+                              stdin=g.read_bytes())
+        assert rc == 0, err
+        for table in ("degrees", "edges", "dnn", "xcells"):
+            assert (tmp_path / f"P.{table}.tsv").read_bytes() \
+                == (tmp_path / f"F.{table}.tsv").read_bytes()
+
     def test_hk_edge_slots(self, tmp_path):
         rc, err = run_limited("generate", "--model", "hk", "--m", 12,
                               "--n", 100_000_000, "--out", tmp_path / "g.bin")
@@ -840,6 +890,11 @@ class TestCountsBelowOne:
         (lambda r: [*RHO_SHAPE, "--ratio-min", "1e9", "--ratio-max", "1e9",
                     "--d2-min", 1000, "--d2-max", 1000, "--grid-size", 1],
          "pair 1000000000000:1000"),
+        # each d1 is within its limit, but the 100 pairs near d1 = 10**6
+        # sum about 10**8 terms
+        (lambda r: [*RHO_SHAPE, "--ratio-min", 990, "--ratio-max", 1000,
+                    "--d2-min", 990, "--d2-max", 1000, "--grid-size", 10],
+         f"above the limit of {MAX_SHAPE_TERMS}"),
     ], ids=["iterations-neg", "iterations-0", "bootstrap-neg", "bootstrap-0",
             "samples-neg", "samples-0", "one-size", "threads-0",
             "window-inf", "window-1e300", "window-nan", "window-0.5",
@@ -852,7 +907,7 @@ class TestCountsBelowOne:
             *[f"{f[2:]}-{v}" for f, *_ in COUNT_FLAGS
               for v in ("limit+1", "2**63", "1e20")],
             "seed-neg-bootstrap", "seed-neg-fit", "seed-neg-multiplicity",
-            "rho-shape-d1-limit"])
+            "rho-shape-d1-limit", "rho-shape-terms-limit"])
     def test_exit_2(self, pipeline, tmp_path, argv, flag):
         rc, err = run_limited(*argv(pipeline),
                               "--out-prefix", tmp_path / "Z")

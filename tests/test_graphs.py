@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 import pagl.graphs
 from oracles import (
     adjacency,
+    binary_bytes,
     distinct_pairs_lexsort,
     load_edge_list_lines,
     save_edge_list_lines,
@@ -21,7 +22,6 @@ from pagl.graphs import (
     GraphValidationError,
     MultiplicityReport,
     _distinct_pairs,
-    binary_bytes,
     count_multiplicities,
     edge_list_chunks,
     load_binary,
@@ -252,6 +252,16 @@ class TestSerialize:
         raw = binary_bytes(Graph(3, [(0, 1), (1, 2)])) + bytes(16)
         with pytest.raises(GraphFormatError,
                            match="trailing bytes: expected 53 bytes, got 69"):
+            load_binary(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("edges", [3, 2**40, 2**59])
+    def test_binary_header_beyond_stream(self, edges):
+        # a stream of unknown length is read as its ids arrive, so a
+        # header that declares more edges than it holds allocates no more
+        raw = binary_bytes(Graph(3, [(0, 1), (1, 2)]))
+        raw[13:21] = edges.to_bytes(8, "little")
+        with pytest.raises(GraphFormatError, match=f"truncated file: expected "
+                           f"{21 + 16 * edges} bytes, got 53"):
             load_binary(io.BytesIO(raw))
 
     @pytest.mark.parametrize("big", [2**32, 2**63, 2**64 - 1])

@@ -12,6 +12,7 @@ from pagl.cli import main
 from pagl.theory import (
     MAX_SHAPE_D1,
     MAX_SHAPE_PAIRS,
+    MAX_SHAPE_TERMS,
     TheoryParams,
     _hurwitz_zeta,
     _pfaff_2f1,
@@ -311,6 +312,18 @@ class TestShapeCheck:
         with pytest.raises(ValueError, match=f"pair {pair} has a d1 above"):
             edge_model_shape_check(0.5, **kwargs)
         assert not recwarn.list
+
+    @pytest.mark.parametrize("kwargs", [
+        {"ratio_range": (990.0, 1000.0), "d2_range": (990, 1000),
+         "grid_size": 10},
+        {"pairs": [(MAX_SHAPE_D1, 1)] * (MAX_SHAPE_TERMS // MAX_SHAPE_D1 + 1)},
+    ], ids=["grid", "pairs"])
+    def test_rejects_term_sums_above_limit_before_any_ratio(self, kwargs,
+                                                            monkeypatch):
+        monkeypatch.setattr(pagl.theory, "tail_ratio", None)
+        with pytest.raises(ValueError,
+                           match=f"above the limit of {MAX_SHAPE_TERMS}"):
+            edge_model_shape_check(0.5, **kwargs)
 
 
 class TestMultiplicityScaling:
