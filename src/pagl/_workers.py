@@ -1,5 +1,7 @@
 """The one runner of pagl's independent seeded loops: bootstrap refits,
-multiplicity samples and batches of generated graphs."""
+multiplicity samples and batches of generated graphs.  Each caller turns
+its own seeds into generators, so one round may carry tasks of any
+shape."""
 
 import os
 import signal
@@ -10,10 +12,11 @@ peak_ru_maxrss = 0  # the largest ru_maxrss of the workers this process reaped
 
 
 def map_seeds(one, seeds, threads):
-    """``one(np.random.default_rng(s))`` for every seed, stacked in seed order.
+    """``one(s)`` for every item of ``seeds``, stacked in item order.
 
-    The seeds are cut into ``min(threads, len(seeds))`` contiguous chunks,
-    so the results do not depend on ``threads``.  This process runs the
+    The items (a SeedSequence each, or a task that holds one) are cut into
+    ``min(threads, len(seeds))`` contiguous chunks, so the results do not
+    depend on ``threads``.  This process runs the
     first chunk and takes the results' dtype and shape from it; ``os.fork``
     children run the others and send raw bytes back through pipes.  Every
     child is reaped before this returns or raises; one that fails or sends
@@ -27,7 +30,7 @@ def map_seeds(one, seeds, threads):
         return np.empty(0)
 
     def run(chunk):
-        return np.array([one(np.random.default_rng(s)) for s in chunk])
+        return np.array([one(s) for s in chunk])
 
     parts = min(threads, len(seeds)) if hasattr(os, "fork") else 1
     cuts = [len(seeds) * w // parts for w in range(parts + 1)]

@@ -111,7 +111,7 @@ def bootstrap_vertices(hist: DegreeHistogram, rng: DegreeRange, B: int = 1000,
     law = _degree_law(rng)
 
     def one(stream):
-        cnt = stream.multinomial(n, p)
+        cnt = np.random.default_rng(stream).multinomial(n, p)
         y = _tail_sums(cnt[:-1])[above].astype(np.float64)
         if np.any(y <= 0):
             return np.nan
@@ -167,7 +167,7 @@ def bootstrap_edges(hist: DegreeHistogram, matrix: EdgeDegreeMatrix,
     num_edges = matrix.total_edges
 
     def one(stream):
-        cnt = stream.multinomial(num_edges, p)
+        cnt = np.random.default_rng(stream).multinomial(num_edges, p)
         return law.refit(block.tails(cnt * cat_weight) / denom, original)
 
     return _finish("edges", original, one, B, seed, threads)

@@ -32,6 +32,9 @@ __all__ = list(_EXPORTS["buckley_osthus"])
 # uniforms are drawn in fixed blocks of this size (r block then q block);
 # changing it would change generated graphs, so it is a constant
 _BLOCK = 1 << 20
+# pointers are resolved in step order this many steps at a time; it sets
+# only the speed, not the targets
+_JUMP_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,13 @@ def _resolve_block(targets, s0: int, rq, a: float) -> None:
     A uniform draw is final at once.  An excess draw copies the target of
     an earlier step, so the block is a forest of backward pointers whose
     roots are uniform draws or steps before s0.  Unresolved steps hold
-    their pointer p as ~p (negative), and every round replaces each one by
-    what its pointer holds: a root's target ends the walk, another pointer
-    doubles its length (Wyllie's pointer jumping), so a chain of depth h
-    takes about log2(h) rounds.
+    their pointer p as ~p (negative).  The pointers are resolved in step
+    order, ``_JUMP_CHUNK`` steps at a time, and every round replaces each
+    unresolved one by what its pointer holds: a pointer into an earlier
+    chunk lands on a final target in one gather, and only chains inside
+    the chunk go on, each round doubling their length (Wyllie's pointer
+    jumping), so a chain of depth h takes about log2(h) rounds.  Every
+    chain ends at the root the sequential sampler copies.
     """
     r, q = np.split(rq, 2)
     t = np.arange(s0 + 1.0, s0 + r.shape[0] + 1.0)  # t = s + 1
@@ -91,12 +97,14 @@ def _resolve_block(targets, s0: int, rq, a: float) -> None:
     block = targets[s0:s0 + r.shape[0]]
     block[:] = q
     block ^= -copy.view(np.int8)  # p -> ~p on copies
-    pending = copy.nonzero()[0]
-    del rq, r, q, t, copy
-    while pending.shape[0]:
-        held = targets[~block[pending]]
-        block[pending] = held
-        pending = pending[held < 0]
+    del rq, r, q, t
+    for lo in range(0, block.shape[0], _JUMP_CHUNK):
+        chunk = block[lo:lo + _JUMP_CHUNK]
+        pending = copy[lo:lo + _JUMP_CHUNK].nonzero()[0]
+        while pending.shape[0]:
+            held = targets[~chunk[pending]]
+            chunk[pending] = held
+            pending = pending[held < 0]
 
 
 def generate_bo_chain(a: float, n: int, seed) -> Graph:
@@ -110,15 +118,20 @@ def generate_bo_chain(a: float, n: int, seed) -> Graph:
         raise ValueError(f"chain length must be an integer in [1, {MAX_CHAIN}], got {n!r}")
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"attractiveness a must be a finite positive real, got {a!r}")
-    rng = np.random.default_rng(seed)
-    targets = np.empty(n, dtype=np.int32)
-    for s0 in range(0, n, _BLOCK):
-        _resolve_block(targets, s0, rng.random(2 * min(_BLOCK, n - s0)),
-                       float(a))
+    targets = _chain_targets(float(a), n, seed)
     edges = np.empty((n, 2), dtype=np.int64)
     edges[:, 0] = np.arange(n, dtype=np.int64)
     edges[:, 1] = targets
     return Graph(n, edges)
+
+
+def _chain_targets(a: float, n: int, seed) -> np.ndarray:
+    """The int32 targets of :func:`generate_bo_chain`'s edges, unchecked."""
+    rng = np.random.default_rng(seed)
+    targets = np.empty(n, dtype=np.int32)
+    for s0 in range(0, n, _BLOCK):
+        _resolve_block(targets, s0, rng.random(2 * min(_BLOCK, n - s0)), a)
+    return targets
 
 
 def merge_blocks(g: Graph, m: int) -> Graph:

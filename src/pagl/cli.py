@@ -400,7 +400,9 @@ def _build_theory_multiplicity(args):
     payload = {
         "a": args.a, "m": args.m, "samples": args.samples,
         "n_list": [int(n) for n in report.n_list],
-        "multi_slope": float(report.multi_slope),
+        # null where a size's mean excess count is 0 (always at m = 1)
+        "multi_slope": (None if math.isnan(report.multi_slope)
+                        else report.multi_slope),
         "loops_slope": float(report.loops_slope),
         **{key: values.tolist() for key, values in columns.items()},
     }

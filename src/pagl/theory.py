@@ -8,10 +8,11 @@ n * m*a*(a+1) * Gamma(m*a+a+1)/Gamma(m*a) * (d1+d2)**(1-a) / (d1*d2)**2,
 valid for d1/d2 large.  Lower-order corrections are deliberately not
 modeled; comparisons against these oracles use statistical tolerances.
 
-:func:`multiplicity_scaling_report` spreads the samples of each size n
-over worker processes, one :func:`pagl._workers.map_seeds` loop per n.
-It loads the chain and the worker runner when called, so the other
-oracles do not load them.
+:func:`multiplicity_scaling_report` counts each sample's loops and
+excess edges straight from the chain's targets, and spreads the samples
+of all sizes n over worker processes in one
+:func:`pagl._workers.map_seeds` round.  It loads the chain and the
+worker runner when called, so the other oracles do not load them.
 
 Log-gamma is a self-contained Lanczos approximation (g = 7, 9
 coefficients, listed below) with the reflection formula below 1/2; it is
@@ -37,7 +38,6 @@ import numpy as np
 
 from . import _EXPORTS
 from ._limits import MAX_CHAIN, MAX_SHAPE_D1, MAX_SHAPE_PAIRS, MAX_SHAPE_TERMS
-from .graphs import count_multiplicities
 
 __all__ = list(_EXPORTS["theory"])
 
@@ -156,7 +156,9 @@ class MultiplicityScalingReport:
 
     ``multi_slope`` is the log-log regression slope of the mean excess
     count against n: the model gives (1-a)/(1+a), about 0.34 at a = 0.5,
-    while n**(1-a) is only an upper bound.  ``loops_slope`` regresses the
+    while n**(1-a) is only an upper bound.  It is NaN when the mean excess
+    count is 0 at some n (always at m = 1), where its log is not defined.
+    ``loops_slope`` regresses the
     mean loop count linearly on ln n.  Fractions are normalized by the
     edge count m*n.
     """
@@ -170,10 +172,37 @@ class MultiplicityScalingReport:
     multi_fractions: np.ndarray
 
 
+def _loops_and_excess(targets, m: int):
+    """Loops and excess parallel edges of the chain with these targets,
+    merged in m-blocks: ``count_multiplicities(merge_blocks(chain, m))``.
+
+    Step k gives the merged edge (k // m, t_k // m), and t_k <= k, so the
+    larger end is k // m and parallel edges lie in one block of m steps.
+    A loop has t_k // m == k // m; an excess edge is a non-loop whose
+    block holds the same value in an earlier column.
+    """
+    rows = (targets // m).reshape(-1, m)
+    loop = rows == np.arange(rows.shape[0], dtype=rows.dtype)[:, None]
+    excess = 0
+    for j in range(1, m):
+        seen = rows[:, 0] == rows[:, j]
+        for i in range(1, j):
+            seen |= rows[:, i] == rows[:, j]
+        seen &= ~loop[:, j]
+        excess += int(np.count_nonzero(seen))
+    return int(np.count_nonzero(loop)), excess
+
+
 def multiplicity_scaling_report(samples_per_n, n_list, a, m, seed=0, threads=1):
-    """Generate ``samples_per_n`` graphs at each n and regress the counts."""
+    """Generate ``samples_per_n`` graphs at each n and regress the counts.
+
+    The sample k at the i-th size draws from child k of the i-th
+    ``base.spawn(1)``.  All samples run in one worker round, sample-major
+    (every size of sample 0, then of sample 1, ...), so each worker's
+    contiguous share carries about the same work.
+    """
     from ._workers import map_seeds
-    from .buckley_osthus import generate_bo_chain, merge_blocks
+    from .buckley_osthus import _chain_targets
 
     if not (0.0 < a < 1.0):
         raise ValueError("scaling check requires 0 < a < 1")
@@ -192,17 +221,20 @@ def multiplicity_scaling_report(samples_per_n, n_list, a, m, seed=0, threads=1):
         raise ValueError(f"m*n = {m * n_list[-1]} exceeds the 32-bit id "
                          f"limit {MAX_CHAIN}")
     base = np.random.SeedSequence(seed)
-    mean_loops, mean_multi = np.empty((2, len(n_list)))
-    for i, n in enumerate(n_list):
-        def one(stream, n=n):
-            rep = count_multiplicities(merge_blocks(generate_bo_chain(a, m * n, stream), m))
-            return rep.loops, rep.multi_edges
+    streams = [base.spawn(1)[0].spawn(samples_per_n) for _ in n_list]
+    tasks = [(n, per_n[k]) for k in range(samples_per_n)
+             for n, per_n in zip(n_list, streams)]
 
-        children = base.spawn(1)[0].spawn(samples_per_n)
-        mean_loops[i], mean_multi[i] = map_seeds(one, children, threads).mean(0)
+    def one(task):
+        n, stream = task
+        return _loops_and_excess(_chain_targets(float(a), m * n, stream), m)
+
+    counts = map_seeds(one, tasks, threads).reshape(samples_per_n, -1, 2)
+    mean_loops, mean_multi = counts.mean(0).T.copy()
 
     ln_n = np.log(np.asarray(n_list, dtype=np.float64))
-    multi_slope = float(np.polyfit(ln_n, np.log(np.maximum(mean_multi, 1e-300)), 1)[0])
+    multi_slope = (float(np.polyfit(ln_n, np.log(mean_multi), 1)[0])
+                   if mean_multi.all() else math.nan)
     loops_slope = float(np.polyfit(ln_n, mean_loops, 1)[0])
     edges = np.asarray(n_list, dtype=np.float64) * m
     return MultiplicityScalingReport(

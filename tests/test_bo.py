@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import AttachmentState, assert_no_children, \
 from pagl import buckley_osthus
 from pagl.buckley_osthus import (
     BOParams,
+    _chain_targets,
     _resolve_block,
     generate_bo,
     generate_bo_chain,
@@ -106,8 +108,10 @@ class TestChain:
         assert chain.edges[:, 1].tolist() == targets
 
     @settings(max_examples=150, deadline=None)
-    @example(a=1e-9, n=40, cuts=[], seed=0, top_r=[0], top_q=[])
-    @example(a=1e-9, n=40, cuts=[0.5], seed=1, top_r=[0, 20], top_q=[])
+    @example(a=1e-9, n=40, cuts=[], seed=0, top_r=[0], top_q=[], chunk=1,
+             block=1 << 20)
+    @example(a=1e-9, n=40, cuts=[0.5], seed=1, top_r=[0, 20], top_q=[],
+             chunk=3, block=7)
     @given(
         a=st.one_of(st.sampled_from([1e-9, 1e-3, 50.0]),
                     st.floats(1e-6, 50.0)),
@@ -116,24 +120,38 @@ class TestChain:
         seed=st.integers(0, 2**32 - 1),
         top_r=st.lists(st.integers(0, 2999), max_size=20),
         top_q=st.lists(st.integers(0, 2999), max_size=20),
+        chunk=st.sampled_from([1, 2, 3, 97, 1 << 13]),
+        block=st.sampled_from([7, 97, 1000, 1 << 20]),
     )
     def test_resolver_matches_sequential_oracle(self, a, n, cuts, seed,
-                                                top_r, top_q):
+                                                top_r, top_q, chunk, block):
         # tiny a makes nearly every step a copy, so pointer chains are as
         # deep as they get; r just below 1 picks the copy urn even at step 0
         # for tiny a, where only the forced loop saves it; q just below 1
-        # takes the top index of either urn, where the clip sits
-        rng = np.random.default_rng(seed)
-        r, q = rng.random(n), rng.random(n)
-        r[[k for k in top_r if k < n]] = np.nextafter(1.0, 0.0)
-        q[[k for k in top_q if k < n]] = np.nextafter(1.0, 0.0)
-        expected = chain_targets(r, q, a)
-        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
-        targets = np.full(n, -7, dtype=np.int32)
-        for lo, hi in zip(bounds, bounds[1:]):
-            rq = np.concatenate([r[lo:hi], q[lo:hi]])
-            _resolve_block(targets, lo, rq, a)
-        assert targets.tolist() == expected
+        # takes the top index of either urn, where the clip sits.  Small
+        # jump chunks and blocks make pointers cross both boundaries.
+        with mock.patch.object(buckley_osthus, "_JUMP_CHUNK", chunk), \
+                mock.patch.object(buckley_osthus, "_BLOCK", block):
+            rng = np.random.default_rng(seed)
+            r, q = rng.random(n), rng.random(n)
+            r[[k for k in top_r if k < n]] = np.nextafter(1.0, 0.0)
+            q[[k for k in top_q if k < n]] = np.nextafter(1.0, 0.0)
+            expected = chain_targets(r, q, a)
+            bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+            targets = np.full(n, -7, dtype=np.int32)
+            for lo, hi in zip(bounds, bounds[1:]):
+                rq = np.concatenate([r[lo:hi], q[lo:hi]])
+                _resolve_block(targets, lo, rq, a)
+            assert targets.tolist() == expected
+
+            # the chain's own blocks: r then q from the stream, per block
+            rng = np.random.default_rng(seed)
+            expected = []
+            while len(expected) < n:
+                length = min(block, n - len(expected))
+                expected = chain_targets(rng.random(length),
+                                         rng.random(length), a, expected)
+            assert _chain_targets(a, n, seed).tolist() == expected
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -543,6 +543,19 @@ class TestTheoryCommands:
         assert len(lines) == 4
         report = json.loads((tmp_path / "T.multiplicity.json").read_text())
         assert report["n_list"] == [200, 400, 800]
+        assert 0 < report["multi_slope"] < 1
+
+    def test_multiplicity_slope_is_null_without_excess_edges(self, tmp_path):
+        # at m = 1 the merged graph is the chain, which has no parallel edges
+        q = tmp_path / "T"
+        assert run("theory", "multiplicity", "--a", 0.5, "--m", 1,
+                   "--n-list", "10,100", "--samples", 3,
+                   "--out-prefix", q) == 0
+        text = (tmp_path / "T.multiplicity.json").read_text()
+        assert '"multi_slope": null,' in text
+        report = json.loads(text)
+        assert report["mean_multi"] == [0.0, 0.0]
+        assert math.isfinite(report["loops_slope"])
 
 
 class TestExitCodesAndEnv:

@@ -3,11 +3,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import hyp2f1, zeta
 
 import pagl.theory
 from oracles import assert_no_children
-from pagl.buckley_osthus import BOParams, generate_bo_samples
+from pagl.buckley_osthus import BOParams, _chain_targets, \
+    generate_bo_chain, generate_bo_samples, merge_blocks
+from pagl.graphs import count_multiplicities
 from pagl.cli import main
 from pagl.theory import (
     MAX_SHAPE_D1,
@@ -15,6 +18,7 @@ from pagl.theory import (
     MAX_SHAPE_TERMS,
     TheoryParams,
     _hurwitz_zeta,
+    _loops_and_excess,
     _pfaff_2f1,
     edge_model_shape_check,
     expected_degree_count,
@@ -326,6 +330,23 @@ class TestShapeCheck:
             edge_model_shape_check(0.5, **kwargs)
 
 
+class TestLoopsAndExcess:
+    # the first example is one block of loops at (0, 0), which a counter
+    # must not count as parallel; the second has a block whose first and
+    # third columns agree and its second differs
+    @settings(max_examples=200, deadline=None)
+    @example(a=1e-6, m=2, n=1, seed=0)
+    @example(a=0.5, m=3, n=3, seed=1)
+    @example(a=50.0, m=6, n=400, seed=2)
+    @given(a=st.floats(1e-6, 50.0), m=st.integers(1, 6),
+           n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_merged_graph(self, a, m, n, seed):
+        rep = count_multiplicities(
+            merge_blocks(generate_bo_chain(a, m * n, seed), m))
+        assert (_loops_and_excess(_chain_targets(a, m * n, seed), m)
+                == (rep.loops, rep.multi_edges))
+
+
 class TestMultiplicityScaling:
     def test_sublinear_growth(self):
         rep = multiplicity_scaling_report(
@@ -338,17 +359,42 @@ class TestMultiplicityScaling:
         assert rep.multi_fractions[-1] < rep.multi_fractions[0]
         assert rep.loop_fractions[-1] < rep.loop_fractions[0]
 
+    def test_means_match_the_per_size_pipeline(self):
+        # sample k at the i-th size uses child k of the i-th base.spawn(1)
+        n_list, samples, m = [40, 300, 2000], 5, 3
+        rep = multiplicity_scaling_report(samples, n_list, a=0.4, m=m,
+                                          seed=9, threads=2)
+        base = np.random.SeedSequence(9)
+        for i, n in enumerate(n_list):
+            counts = [count_multiplicities(
+                merge_blocks(generate_bo_chain(0.4, m * n, child), m))
+                for child in base.spawn(1)[0].spawn(samples)]
+            means = np.array([[c.loops, c.multi_edges] for c in counts]).mean(0)
+            assert (rep.mean_loops[i], rep.mean_multi[i]) == tuple(means)
+        assert_no_children()
+
+    def test_multi_slope_is_nan_when_a_mean_is_zero(self):
+        # at m = 1 there are no parallel edges, so log(mean_multi) is -inf
+        rep = multiplicity_scaling_report(3, [10, 100], a=0.5, m=1)
+        assert rep.mean_multi.tolist() == [0.0, 0.0]
+        assert math.isnan(rep.multi_slope)
+        assert math.isfinite(rep.loops_slope)
+
     def test_thread_invariant(self):
-        args = (6, [300, 1200, 5000])
-        one = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2, threads=1)
-        for threads in (2, 3, 4):
-            two = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2,
-                                              threads=threads)
-            for name in ("mean_loops", "mean_multi", "loop_fractions",
-                         "multi_fractions"):
-                assert getattr(one, name).tobytes() == getattr(two, name).tobytes()
-            assert ((one.multi_slope, one.loops_slope)
-                    == (two.multi_slope, two.loops_slope))
+        # one sample per size leaves fewer tasks (3) than the most workers (4)
+        for samples in (6, 1):
+            args = (samples, [300, 1200, 5000])
+            one = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2,
+                                              threads=1)
+            for threads in (2, 3, 4):
+                two = multiplicity_scaling_report(*args, a=0.3, m=3, seed=2,
+                                                  threads=threads)
+                for name in ("mean_loops", "mean_multi", "loop_fractions",
+                             "multi_fractions"):
+                    assert (getattr(one, name).tobytes()
+                            == getattr(two, name).tobytes())
+                assert ((one.multi_slope, one.loops_slope)
+                        == (two.multi_slope, two.loops_slope))
         assert_no_children()
 
     @pytest.mark.parametrize("threads", [0, -3])
@@ -359,14 +405,14 @@ class TestMultiplicityScaling:
 
     def test_failed_worker_is_reported_and_reaped(self, monkeypatch, tmp_path,
                                                   capsys):
-        caller, count = os.getpid(), pagl.theory.count_multiplicities
+        caller, count = os.getpid(), pagl.theory._loops_and_excess
 
-        def worker_fails(g):
+        def worker_fails(targets, m):
             if os.getpid() != caller:
                 raise RuntimeError("worker fault")
-            return count(g)
+            return count(targets, m)
 
-        monkeypatch.setattr(pagl.theory, "count_multiplicities", worker_fails)
+        monkeypatch.setattr(pagl.theory, "_loops_and_excess", worker_fails)
         with pytest.raises(ChildProcessError, match="exited with status 1"):
             multiplicity_scaling_report(4, [100, 200], a=0.5, m=1, threads=2)
         assert_no_children()
